@@ -17,7 +17,9 @@ use hcloud_quasar::{ProfilingEnvironment, QuasarConfig, QuasarEngine};
 use hcloud_sim::event::EventQueue;
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::{SimDuration, SimTime};
+use hcloud_tenancy::{FairShare, Gate, TenancyPlan, TenantSpec};
 use hcloud_workloads::{AppClass, JobId, JobKind, JobSpec};
+use std::collections::VecDeque;
 
 fn job() -> JobSpec {
     let mut rng = SimRng::from_seed_u64(5);
@@ -110,10 +112,49 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// The fair-share drain with a fixed handful of backlogged tenants among
+/// many idle ones. One iteration is the scheduler's finish path: release
+/// a running job, drain, re-gate the released job. Every drain visits
+/// only the backlogged tenants, so the time per iteration should stay
+/// flat as the tenant count grows.
+fn bench_fair_share_drain(c: &mut Criterion) {
+    const HOT: u64 = 8;
+    const JOBS_PER_HOT: u64 = 6;
+    const CORES: u32 = 4;
+    for tenants in [200u64, 2_000, 20_000] {
+        // A 32-core pool and 8-core guarantees: the hot tenants' demand
+        // always exceeds the pool, so they stay backlogged and needy.
+        let mut plan = TenancyPlan::new(32);
+        for id in 0..tenants {
+            plan = plan.tenant(TenantSpec::new(id, 1.0, 8, 32));
+        }
+        // Hot tenants spread across the id range.
+        for job in 0..HOT * JOBS_PER_HOT {
+            plan.assign(job, job / JOBS_PER_HOT * (tenants / HOT));
+        }
+        let mut fair = FairShare::new(&plan);
+        let now = SimTime::ZERO;
+        let mut running: VecDeque<u64> = (0..HOT * JOBS_PER_HOT)
+            .filter(|&job| matches!(fair.gate(job, CORES, now), Gate::Admit { .. }))
+            .collect();
+        c.bench_function(&format!("fair_share_drain/{tenants}"), |b| {
+            b.iter(|| {
+                let done = running.pop_front().expect("the pool stays full");
+                fair.release(done);
+                running.extend(fair.drain(now).iter().map(|r| r.job));
+                if let Gate::Admit { .. } = fair.gate(done, CORES, now) {
+                    running.push_back(done);
+                }
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_classification,
     bench_decisions,
-    bench_event_queue
+    bench_event_queue,
+    bench_fair_share_drain
 );
 criterion_main!(benches);

@@ -24,13 +24,8 @@ pub const SCHEMA_VERSION: u64 = 2;
 static FAILED: AtomicBool = AtomicBool::new(false);
 static WRITTEN: AtomicUsize = AtomicUsize::new(0);
 static REPORT_US: AtomicU64 = AtomicU64::new(0);
-static PROF_OPS: [AtomicU64; hcloud_telemetry::profile::PROF_SPANS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static PROF_OPS: [AtomicU64; hcloud_telemetry::profile::PROF_SPANS] =
+    [const { AtomicU64::new(0) }; hcloud_telemetry::profile::PROF_SPANS];
 
 /// Accumulates a finished plan's profiling op counts into the
 /// process-wide totals [`crate::report::write_json`] stamps into

@@ -622,6 +622,34 @@ mod tests {
                 span.name()
             );
         }
+        assert_eq!(
+            snap.get(ProfSpan::Tenancy).ops,
+            0,
+            "an untenanted run never calls the fair-share layer"
+        );
+    }
+
+    #[test]
+    fn tenancy_span_times_the_fair_share_calls() {
+        let scenario = small_scenario(ScenarioKind::HighVariability);
+        let mut plan = hcloud_tenancy::TenancyPlan::zipf(20, 1.1, 32, 0.5);
+        let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
+        plan.assign_jobs(&ids, &mut RngFactory::new(7).stream("tenant-assign"));
+        let scenario = scenario.with_tenancy(plan);
+        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let factory = RngFactory::new(7);
+        let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
+        let profiler = Profiler::enabled();
+        let profiled = run_scenario(
+            &scenario,
+            &config,
+            &RunCtx::new(&factory).with_profiler(&profiler),
+        )
+        .unwrap();
+        assert_eq!(plain, profiled);
+        // At least one gate per job, plus releases, drains and scans.
+        let ops = profiler.snapshot().get(ProfSpan::Tenancy).ops;
+        assert!(ops > scenario.jobs().len() as u64, "{ops} tenancy ops");
     }
 
     #[test]

@@ -689,7 +689,10 @@ impl<'a> Scheduler<'a> {
             return false;
         };
         let jid = self.scenario.jobs()[idx].id;
-        match ts.fair.gate(jid.0, est.cores, now) {
+        let gate = self
+            .profiler
+            .time(ProfSpan::Tenancy, || ts.fair.gate(jid.0, est.cores, now));
+        match gate {
             Gate::Bypass => false,
             Gate::Admit { borrowed, .. } => {
                 if borrowed {
@@ -730,7 +733,7 @@ impl<'a> Scheduler<'a> {
         let Some(ts) = self.tenancy.as_mut() else {
             return;
         };
-        let released = ts.fair.drain(now);
+        let released = self.profiler.time(ProfSpan::Tenancy, || ts.fair.drain(now));
         if released.is_empty() {
             return;
         }
@@ -1558,7 +1561,8 @@ impl<'a> Scheduler<'a> {
             self.auditor.job_requeued(now, jid.0);
             if self.tenancy.is_some() {
                 if let Some(ts) = self.tenancy.as_mut() {
-                    ts.fair.release(jid.0);
+                    self.profiler
+                        .time(ProfSpan::Tenancy, || ts.fair.release(jid.0));
                 }
                 if self.auditor.is_enabled() {
                     let tenant = self.tenant_of(jid);
@@ -1618,7 +1622,9 @@ impl<'a> Scheduler<'a> {
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
         let victims = match self.tenancy.as_mut() {
-            Some(ts) => ts.fair.starved_victims(now),
+            Some(ts) => self
+                .profiler
+                .time(ProfSpan::Tenancy, || ts.fair.starved_victims(now)),
             None => return Ok(()),
         };
         for p in &victims {
@@ -1644,7 +1650,8 @@ impl<'a> Scheduler<'a> {
         let jid = JobId(p.victim_job);
         self.counters.tenant_preemptions += 1;
         if let Some(ts) = self.tenancy.as_mut() {
-            ts.fair.release(jid.0);
+            self.profiler
+                .time(ProfSpan::Tenancy, || ts.fair.release(jid.0));
         }
         if self.running_by_id.contains_key(&jid) {
             let (lost, cores, inst_h) = {
@@ -2158,7 +2165,8 @@ impl<'a> Scheduler<'a> {
         // Tenancy: the finished job leaves the pool; the freed share may
         // admit deferred work.
         if let Some(ts) = self.tenancy.as_mut() {
-            ts.fair.release(jid.0);
+            self.profiler
+                .time(ProfSpan::Tenancy, || ts.fair.release(jid.0));
             self.drain_tenancy(now, events);
         }
         Ok(())

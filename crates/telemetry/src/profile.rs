@@ -28,7 +28,8 @@ use hcloud_json::{ObjectBuilder, Value};
 /// The set mirrors the optimisation history: the event queue (PR 6's
 /// timing wheel vs the reference heap), the placement front door (PR 4's
 /// indexed `find_placement`), the quality-monitor quantiles (PR 4's
-/// `QuantileSet`), and the conservation-audit hooks (PR 5).
+/// `QuantileSet`), the conservation-audit hooks (PR 5), and the
+/// fair-share tenancy calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfSpan {
     /// `sim::event` — scheduling events into the queue.
@@ -41,10 +42,13 @@ pub enum ProfSpan {
     MonitorQuantiles,
     /// `audit` — per-step and end-of-run conservation checks.
     AuditHooks,
+    /// `tenancy` — the scheduler's fair-share gate, release, drain and
+    /// starvation-scan calls (zero on untenanted runs).
+    Tenancy,
 }
 
 /// Number of subsystems (the fixed cell-array size).
-pub const PROF_SPANS: usize = 5;
+pub const PROF_SPANS: usize = 6;
 
 impl ProfSpan {
     /// Every subsystem, in reporting order.
@@ -54,6 +58,7 @@ impl ProfSpan {
         ProfSpan::FindPlacement,
         ProfSpan::MonitorQuantiles,
         ProfSpan::AuditHooks,
+        ProfSpan::Tenancy,
     ];
 
     /// Stable wire/report name.
@@ -64,6 +69,7 @@ impl ProfSpan {
             ProfSpan::FindPlacement => "find-placement",
             ProfSpan::MonitorQuantiles => "monitor-quantiles",
             ProfSpan::AuditHooks => "audit-hooks",
+            ProfSpan::Tenancy => "tenancy",
         }
     }
 }

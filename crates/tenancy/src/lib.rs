@@ -27,7 +27,7 @@
 //! raw `u64`, so every layer above (workloads, core, bench, cli) can
 //! speak tenancy without dependency cycles.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hcloud_sim::{SimDuration, SimTime};
 use rand::Rng;
@@ -205,7 +205,7 @@ impl TenancyPlan {
     /// Structural sanity; the scheduler and the CLI both refuse invalid
     /// plans up front rather than mis-accounting later.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for t in &self.tenants {
             if !t.weight.is_finite() || t.weight <= 0.0 {
                 return Err(format!("tenant {}: weight must be finite and > 0", t.id));
@@ -374,16 +374,31 @@ pub struct Preemption {
 /// ledger. The scheduler is the single driver — it gates arrivals,
 /// reports releases, drains after capacity frees, and executes the
 /// preemptions the starvation scan proposes.
+///
+/// Every per-event operation costs O(backlogged tenants), not O(all
+/// tenants): the drain, the needy check and the starvation scan walk a
+/// backlog index of the tenants with pending work, and the weighted fair
+/// share reads a total cached at construction. Only [`FairShare::new`]
+/// and [`FairShare::stats`] visit every tenant.
 #[derive(Debug, Clone)]
 pub struct FairShare {
-    tenants: BTreeMap<u64, TenantQueue>,
+    /// Tenant queues in plan order, which is the DRR rotation order; a
+    /// queue's index here is its DRR position.
+    queues: Vec<TenantQueue>,
+    /// Tenant id → DRR position. Ids are unique in a validated plan; a
+    /// duplicate id shadows its earlier specs.
+    positions: BTreeMap<u64, usize>,
+    /// DRR positions of the tenants whose pending queue is non-empty.
+    backlog: BTreeSet<usize>,
     assignments: BTreeMap<u64, u64>,
     running: BTreeMap<u64, RunningRec>,
-    /// DRR rotation order (tenant ids); the cursor persists across
-    /// drains so no tenant is structurally favored.
-    order: Vec<u64>,
+    /// The DRR position a drain starts from; it persists across drains
+    /// so no tenant is structurally favored.
     cursor: usize,
     pool_cores: u64,
+    /// Σ weight of the non-closed tenants, summed in ascending id order.
+    /// Queue states never change after construction.
+    open_weight: f64,
     total_running: u64,
     quantum: f64,
     starvation: SimDuration,
@@ -392,19 +407,31 @@ pub struct FairShare {
 
 impl FairShare {
     pub fn new(plan: &TenancyPlan) -> FairShare {
-        let mut tenants = BTreeMap::new();
-        let mut order = Vec::with_capacity(plan.tenants.len());
-        for spec in &plan.tenants {
-            order.push(spec.id.0);
-            tenants.insert(spec.id.0, TenantQueue::new(spec.clone()));
-        }
+        let queues: Vec<TenantQueue> = plan
+            .tenants
+            .iter()
+            .map(|spec| TenantQueue::new(spec.clone()))
+            .collect();
+        let positions: BTreeMap<u64, usize> = queues
+            .iter()
+            .enumerate()
+            .map(|(pos, q)| (q.spec.id.0, pos))
+            .collect();
+        let open_weight: f64 = positions
+            .values()
+            .map(|&pos| &queues[pos].spec)
+            .filter(|spec| spec.state != QueueState::Closed)
+            .map(|spec| spec.weight)
+            .sum();
         FairShare {
-            tenants,
+            queues,
+            positions,
+            backlog: BTreeSet::new(),
             assignments: plan.assignments.clone(),
             running: BTreeMap::new(),
-            order,
             cursor: 0,
             pool_cores: plan.pool_cores as u64,
+            open_weight,
             total_running: 0,
             quantum: plan.quantum,
             starvation: SimDuration::from_secs_f64(plan.starvation_secs),
@@ -426,20 +453,16 @@ impl FairShare {
     }
 
     pub fn queue(&self, tenant: TenantId) -> Option<&TenantQueue> {
-        self.tenants.get(&tenant.0)
+        self.positions.get(&tenant.0).map(|&pos| &self.queues[pos])
     }
 
     /// A tenant's weighted fair share of the pool, over non-closed
-    /// tenants.
+    /// tenants. A `Closed` tenant bypasses the pool, so its share is 0.
     pub fn fair_share(&self, tenant: TenantId) -> f64 {
-        let total: f64 = self
-            .tenants
-            .values()
-            .filter(|q| q.spec.state != QueueState::Closed)
-            .map(|q| q.spec.weight)
-            .sum();
-        match self.tenants.get(&tenant.0) {
-            Some(q) if total > 0.0 => self.pool_cores as f64 * q.spec.weight / total,
+        match self.queue(tenant) {
+            Some(q) if q.spec.state != QueueState::Closed && self.open_weight > 0.0 => {
+                self.pool_cores as f64 * q.spec.weight / self.open_weight
+            }
             _ => 0.0,
         }
     }
@@ -447,7 +470,63 @@ impl FairShare {
     /// Whether any tenant is below guarantee with work pending; while
     /// true, the pool grants no new borrows.
     fn any_needy(&self) -> bool {
-        self.tenants.values().any(|q| q.needy())
+        self.backlog.iter().any(|&pos| self.queues[pos].needy())
+    }
+
+    /// The backlogged positions in DRR order: from the cursor to the
+    /// end, then wrapping around to it.
+    fn backlog_round(&self) -> Vec<usize> {
+        self.backlog
+            .range(self.cursor..)
+            .chain(self.backlog.range(..self.cursor))
+            .copied()
+            .collect()
+    }
+
+    /// Books one admission into the pool ledger.
+    fn book_admission(&mut self, pos: usize, job: u64, cores: u32, borrowed: bool) {
+        let q = &mut self.queues[pos];
+        q.note_admit(cores, borrowed);
+        let tenant = q.spec.id.0;
+        self.total_running += cores as u64;
+        self.admit_seq += 1;
+        self.running.insert(
+            job,
+            RunningRec {
+                tenant,
+                cores,
+                seq: self.admit_seq,
+                borrowed,
+            },
+        );
+    }
+
+    /// Admits the head job of the queue at `pos`, which the caller has
+    /// just popped, and drops the tenant from the backlog if that
+    /// emptied its queue.
+    fn release_head(
+        &mut self,
+        pos: usize,
+        head: PendingJob,
+        borrowed: bool,
+        now: SimTime,
+    ) -> Release {
+        self.book_admission(pos, head.job, head.cores, borrowed);
+        let q = &mut self.queues[pos];
+        q.stat.drained += 1;
+        let waited = now.saturating_since(head.enqueued);
+        q.stat.total_queue_wait_secs += waited.as_secs_f64();
+        let tenant = q.spec.id;
+        if q.pending.is_empty() {
+            self.backlog.remove(&pos);
+        }
+        Release {
+            job: head.job,
+            tenant,
+            cores: head.cores,
+            waited,
+            borrowed,
+        }
     }
 
     /// Gate one arriving (or re-arriving) job. Admission requires cap
@@ -458,10 +537,10 @@ impl FairShare {
         let Some(&tid) = self.assignments.get(&job) else {
             return Gate::Bypass;
         };
-        let any_needy = self.any_needy();
-        let Some(q) = self.tenants.get_mut(&tid) else {
+        let Some(&pos) = self.positions.get(&tid) else {
             return Gate::Bypass;
         };
+        let q = &self.queues[pos];
         if q.spec.state == QueueState::Closed {
             return Gate::Bypass;
         }
@@ -480,27 +559,21 @@ impl FairShare {
         let borrowed = q.running_cores >= q.spec.guaranteed_cores as u64;
         let cap_ok = q.running_cores + cores as u64 <= q.spec.cap_cores as u64;
         let pool_ok = self.total_running + cores as u64 <= self.pool_cores;
-        let borrow_ok = !borrowed || (q.spec.state == QueueState::Open && !any_needy);
         // FIFO within the queue: once anything is pending, later jobs
-        // line up behind it rather than jumping the gate.
-        if cap_ok && pool_ok && borrow_ok && q.pending.is_empty() {
-            q.note_admit(cores, borrowed);
-            self.total_running += cores as u64;
-            self.admit_seq += 1;
-            self.running.insert(
-                job,
-                RunningRec {
-                    tenant: tid,
-                    cores,
-                    seq: self.admit_seq,
-                    borrowed,
-                },
-            );
+        // line up behind it rather than jumping the gate. The needy scan
+        // runs last, only when it decides the verdict.
+        let admit = cap_ok
+            && pool_ok
+            && q.pending.is_empty()
+            && (!borrowed || (q.spec.state == QueueState::Open && !self.any_needy()));
+        if admit {
+            self.book_admission(pos, job, cores, borrowed);
             Gate::Admit {
                 tenant: TenantId(tid),
                 borrowed,
             }
         } else {
+            let q = &mut self.queues[pos];
             q.pending.push_back(PendingJob {
                 job,
                 cores,
@@ -508,9 +581,13 @@ impl FairShare {
             });
             q.stat.deferred += 1;
             q.stat.max_pending_depth = q.stat.max_pending_depth.max(q.pending.len());
+            let depth = q.pending.len();
+            if depth == 1 {
+                self.backlog.insert(pos);
+            }
             Gate::Defer {
                 tenant: TenantId(tid),
-                depth: q.pending.len(),
+                depth,
             }
         }
     }
@@ -519,23 +596,12 @@ impl FairShare {
     /// Returns its tenant; `None` for untenanted/bypassed jobs.
     pub fn release(&mut self, job: u64) -> Option<TenantId> {
         let rec = self.running.remove(&job)?;
-        if let Some(q) = self.tenants.get_mut(&rec.tenant) {
+        if let Some(&pos) = self.positions.get(&rec.tenant) {
+            let q = &mut self.queues[pos];
             q.running_cores = q.running_cores.saturating_sub(rec.cores as u64);
         }
         self.total_running = self.total_running.saturating_sub(rec.cores as u64);
         Some(TenantId(rec.tenant))
-    }
-
-    /// Forget a job that never reached the pool (it is leaving the
-    /// system from a tenant queue). Returns true if it was pending.
-    pub fn cancel_pending(&mut self, job: u64) -> bool {
-        for q in self.tenants.values_mut() {
-            if let Some(pos) = q.pending.iter().position(|p| p.job == job) {
-                q.pending.remove(pos);
-                return true;
-            }
-        }
-        false
     }
 
     /// Deficit-round-robin drain: hand freed capacity to tenant queues.
@@ -545,19 +611,25 @@ impl FairShare {
     /// deficit covers its cores). Pass 2 lets `Open` tenants borrow the
     /// remainder — only if nobody is still needy. Stops when a full
     /// cycle releases nothing.
+    ///
+    /// Each round visits only the backlogged tenants, cyclically from the
+    /// cursor. A snapshot of the backlog per round is exact: during a
+    /// drain the backlog only shrinks and a tenant only stops being
+    /// needy, so a tenant missing from the snapshot would have been
+    /// skipped anyway.
     pub fn drain(&mut self, now: SimTime) -> Vec<Release> {
         let mut out = Vec::new();
         // Pass 1: guarantees.
         loop {
             let mut progressed = false;
-            for i in 0..self.order.len() {
-                let tid = self.order[(self.cursor + i) % self.order.len()];
-                let q = self.tenants.get_mut(&tid).expect("order tracks tenants");
+            for pos in self.backlog_round() {
+                let q = &mut self.queues[pos];
                 if !q.needy() {
                     continue;
                 }
                 q.deficit += self.quantum * q.spec.weight;
-                while let Some(&head) = q.pending.front() {
+                while let Some(&head) = self.queues[pos].pending.front() {
+                    let q = &mut self.queues[pos];
                     let under = q.running_cores < q.spec.guaranteed_cores as u64;
                     let fits_pool = self.total_running + head.cores as u64 <= self.pool_cores;
                     let fits_cap = q.running_cores + head.cores as u64 <= q.spec.cap_cores as u64;
@@ -566,30 +638,10 @@ impl FairShare {
                     }
                     q.pending.pop_front();
                     q.deficit -= head.cores as f64;
-                    q.note_admit(head.cores, false);
-                    q.stat.drained += 1;
-                    let waited = now.saturating_since(head.enqueued);
-                    q.stat.total_queue_wait_secs += waited.as_secs_f64();
-                    self.total_running += head.cores as u64;
-                    self.admit_seq += 1;
-                    self.running.insert(
-                        head.job,
-                        RunningRec {
-                            tenant: tid,
-                            cores: head.cores,
-                            seq: self.admit_seq,
-                            borrowed: false,
-                        },
-                    );
-                    out.push(Release {
-                        job: head.job,
-                        tenant: TenantId(tid),
-                        cores: head.cores,
-                        waited,
-                        borrowed: false,
-                    });
+                    out.push(self.release_head(pos, head, false, now));
                     progressed = true;
                 }
+                let q = &mut self.queues[pos];
                 if q.pending.is_empty() {
                     q.deficit = 0.0;
                 }
@@ -598,8 +650,8 @@ impl FairShare {
                 break;
             }
         }
-        if !self.order.is_empty() {
-            self.cursor = (self.cursor + 1) % self.order.len();
+        if !self.queues.is_empty() {
+            self.cursor = (self.cursor + 1) % self.queues.len();
         }
         // Pass 2: elastic borrowing of whatever is left.
         loop {
@@ -607,9 +659,8 @@ impl FairShare {
                 break;
             }
             let mut progressed = false;
-            for i in 0..self.order.len() {
-                let tid = self.order[(self.cursor + i) % self.order.len()];
-                let q = self.tenants.get_mut(&tid).expect("order tracks tenants");
+            for pos in self.backlog_round() {
+                let q = &mut self.queues[pos];
                 if q.spec.state != QueueState::Open {
                     continue;
                 }
@@ -623,28 +674,7 @@ impl FairShare {
                 }
                 q.pending.pop_front();
                 let borrowed = q.running_cores >= q.spec.guaranteed_cores as u64;
-                q.note_admit(head.cores, borrowed);
-                q.stat.drained += 1;
-                let waited = now.saturating_since(head.enqueued);
-                q.stat.total_queue_wait_secs += waited.as_secs_f64();
-                self.total_running += head.cores as u64;
-                self.admit_seq += 1;
-                self.running.insert(
-                    head.job,
-                    RunningRec {
-                        tenant: tid,
-                        cores: head.cores,
-                        seq: self.admit_seq,
-                        borrowed,
-                    },
-                );
-                out.push(Release {
-                    job: head.job,
-                    tenant: TenantId(tid),
-                    cores: head.cores,
-                    waited,
-                    borrowed,
-                });
+                out.push(self.release_head(pos, head, borrowed, now));
                 progressed = true;
             }
             if !progressed {
@@ -665,22 +695,24 @@ impl FairShare {
     /// [`release`]: FairShare::release
     /// [`drain`]: FairShare::drain
     pub fn starved_victims(&mut self, now: SimTime) -> Vec<Preemption> {
-        let mut starved: Vec<(u64, u64)> = Vec::new(); // (tenant, needed cores)
-        for q in self.tenants.values() {
-            if !q.needy() {
-                continue;
-            }
-            let head = q.pending.front().expect("needy implies pending");
-            if now.saturating_since(head.enqueued) >= self.starvation {
-                starved.push((q.spec.id.0, head.cores as u64));
-            }
-        }
+        // (tenant, needed cores), in ascending tenant id.
+        let mut starved: Vec<(u64, u64)> = self
+            .backlog
+            .iter()
+            .map(|&pos| &self.queues[pos])
+            .filter(|q| q.needy())
+            .filter_map(|q| {
+                let head = q.pending.front().expect("needy implies pending");
+                (now.saturating_since(head.enqueued) >= self.starvation)
+                    .then_some((q.spec.id.0, head.cores as u64))
+            })
+            .collect();
         if starved.is_empty() {
             return Vec::new();
         }
+        starved.sort_unstable_by_key(|&(tenant, _)| tenant);
         let needed: u64 = starved.iter().map(|&(_, n)| n).sum();
-        let starved_ids: std::collections::BTreeSet<u64> =
-            starved.iter().map(|&(t, _)| t).collect();
+        let starved_ids: BTreeSet<u64> = starved.iter().map(|&(t, _)| t).collect();
 
         // Candidate pass 1: borrowed jobs, keyed for ordering.
         let mut borrowed: Vec<(f64, u64, u64, u32, u64)> = Vec::new(); // (borrow, seq, job, cores, tenant)
@@ -688,7 +720,7 @@ impl FairShare {
             if !rec.borrowed || starved_ids.contains(&rec.tenant) {
                 continue;
             }
-            let q = &self.tenants[&rec.tenant];
+            let q = self.queue_of(rec.tenant);
             let over = q.running_cores as f64 - q.spec.guaranteed_cores as f64;
             if over <= 0.0 {
                 continue;
@@ -711,7 +743,7 @@ impl FairShare {
             if freed >= needed {
                 break;
             }
-            let q = &self.tenants[tenant];
+            let q = self.queue_of(*tenant);
             let remaining = q.running_cores - drawn.get(tenant).copied().unwrap_or(0);
             if remaining <= q.spec.guaranteed_cores as u64 {
                 continue;
@@ -733,7 +765,7 @@ impl FairShare {
                 {
                     continue;
                 }
-                let q = &self.tenants[&rec.tenant];
+                let q = self.queue_of(rec.tenant);
                 let share = self.fair_share(TenantId(rec.tenant));
                 let over = q.running_cores as f64 - share;
                 if over <= 0.0 {
@@ -750,7 +782,7 @@ impl FairShare {
                 if freed >= needed {
                     break;
                 }
-                let q = &self.tenants[tenant];
+                let q = self.queue_of(*tenant);
                 let remaining = q.running_cores - drawn.get(tenant).copied().unwrap_or(0);
                 // Never drive a victim below its own guarantee.
                 if remaining.saturating_sub(*cores as u64) < q.spec.guaranteed_cores as u64 {
@@ -768,22 +800,27 @@ impl FairShare {
         }
         if !victims.is_empty() {
             for &(tid, _) in &starved {
-                if let Some(q) = self.tenants.get_mut(&tid) {
-                    q.stat.reclaims += 1;
-                }
+                self.queues[self.positions[&tid]].stat.reclaims += 1;
             }
             for v in &victims {
-                if let Some(q) = self.tenants.get_mut(&v.victim_tenant.0) {
-                    q.stat.victims += 1;
-                }
+                self.queues[self.positions[&v.victim_tenant.0]].stat.victims += 1;
             }
         }
         victims
     }
 
+    /// The queue of a tenant known to the plan (every running or
+    /// backlogged job's tenant is).
+    fn queue_of(&self, tenant: u64) -> &TenantQueue {
+        &self.queues[self.positions[&tenant]]
+    }
+
     /// Per-tenant lifetime counters, ascending by tenant id.
     pub fn stats(&self) -> Vec<TenantStat> {
-        self.tenants.values().map(|q| q.stat).collect()
+        self.positions
+            .values()
+            .map(|&pos| self.queues[pos].stat)
+            .collect()
     }
 }
 
@@ -1137,17 +1174,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_pending_forgets_queued_jobs() {
+    fn closed_tenants_have_no_fair_share() {
         let mut plan = plan3();
-        plan.assign(0, 1);
-        plan.assign(1, 1);
-        plan.assign(2, 1);
-        let mut fs = FairShare::new(&plan);
-        fs.gate(0, 8, t(0)); // fills cap
-        assert!(matches!(fs.gate(1, 4, t(0)), Gate::Defer { .. }));
-        assert!(fs.cancel_pending(1));
-        assert!(!fs.cancel_pending(1));
-        assert_eq!(fs.queue(TenantId(1)).unwrap().pending_depth(), 0);
+        plan.tenants[2].state = QueueState::Closed;
+        let fs = FairShare::new(&plan);
+        // Closed weight is out of the total: 16 cores split 4:2.
+        assert_eq!(fs.fair_share(TenantId(0)), 16.0 * 4.0 / 6.0);
+        assert_eq!(fs.fair_share(TenantId(1)), 16.0 * 2.0 / 6.0);
+        assert_eq!(fs.fair_share(TenantId(2)), 0.0);
+        assert_eq!(fs.fair_share(TenantId(9)), 0.0, "unknown tenant");
     }
 
     #[test]
