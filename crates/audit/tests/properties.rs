@@ -12,7 +12,7 @@
 //!   release the rule exists to prevent.
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{MappingPolicy, RunConfig, StrategyKind};
+use hcloud::{MappingPolicy, RunConfig, StrategyId, StrategyRegistry};
 use hcloud_audit::{AuditMode, AuditViolationKind, Auditor};
 use hcloud_faults::FaultPlanId;
 use hcloud_sim::rng::{RngFactory, SimRng};
@@ -38,13 +38,13 @@ proptest! {
     #[test]
     fn randomized_runs_satisfy_every_conservation_identity(
         fault_idx in 0..FaultPlanId::ALL.len(),
-        strategy_idx in 0..StrategyKind::ALL.len(),
+        strategy_idx in 0..StrategyRegistry::paper().len(),
         policy_idx in 0..MappingPolicy::paper_set().len(),
         kind_idx in 0..3usize,
         seed in 0u64..1000,
     ) {
         let faults = FaultPlanId::ALL[fault_idx];
-        let strategy = StrategyKind::ALL[strategy_idx];
+        let strategy = &StrategyRegistry::paper()[strategy_idx];
         let (_, policy) = MappingPolicy::paper_set()[policy_idx];
         let kind = [
             ScenarioKind::Static,
@@ -79,8 +79,7 @@ fn retention_churn_never_releases_a_reused_instance() {
     for &retention_mult in &[0.0, 0.5, 1.0, 4.0] {
         for seed in 0..4u64 {
             let scenario = tiny_scenario(ScenarioKind::HighVariability, seed);
-            let config =
-                RunConfig::new(StrategyKind::HybridMixed).with_retention_mult(retention_mult);
+            let config = RunConfig::new(StrategyId::HM).with_retention_mult(retention_mult);
             let auditor = Auditor::new(AuditMode::Strict);
             let factory = RngFactory::new(seed);
             run_scenario(

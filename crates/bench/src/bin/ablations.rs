@@ -13,7 +13,7 @@
 //! 4. **retention quality gate** — disable the "release poorly-performing
 //!    instances immediately" rule.
 
-use hcloud::{MappingPolicy, StrategyKind};
+use hcloud::{MappingPolicy, StrategyId};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -38,8 +38,7 @@ fn main() -> std::process::ExitCode {
         (0.30, 0.95),
     ];
     let limit_spec = |soft, hard| {
-        RunSpec::of(kind, StrategyKind::HybridMixed)
-            .map_config(move |c| c.with_dynamic_limits(soft, hard))
+        RunSpec::of(kind, StrategyId::HM).map_config(move |c| c.with_dynamic_limits(soft, hard))
     };
     let policies = [
         ("dynamic (full)", MappingPolicy::Dynamic),
@@ -55,7 +54,7 @@ fn main() -> std::process::ExitCode {
     ];
     let quasar_grid = [(240usize, 4usize), (60, 4), (24, 2), (12, 1)];
     let quasar_spec = |corpus, rank| {
-        RunSpec::of(kind, StrategyKind::HybridMixed).map_config(move |c| {
+        RunSpec::of(kind, StrategyId::HM).map_config(move |c| {
             let mut quasar = c.quasar.clone();
             quasar.corpus_size = corpus;
             quasar.rank = rank;
@@ -64,7 +63,7 @@ fn main() -> std::process::ExitCode {
     };
     let gates = [("on (q<0.75 released)", 0.75), ("off", 0.0)];
     let gate_spec = |threshold| {
-        RunSpec::of(kind, StrategyKind::OnDemandMixed)
+        RunSpec::of(kind, StrategyId::ODM)
             .map_config(move |c| c.with_quality_retention_threshold(threshold))
     };
 
@@ -73,7 +72,7 @@ fn main() -> std::process::ExitCode {
         plan.push(limit_spec(soft, hard));
     }
     for (_, policy) in policies {
-        plan.push(RunSpec::of(kind, StrategyKind::HybridMixed).policy(policy));
+        plan.push(RunSpec::of(kind, StrategyId::HM).policy(policy));
     }
     for (corpus, rank) in quasar_grid {
         plan.push(quasar_spec(corpus, rank));
@@ -123,7 +122,7 @@ fn main() -> std::process::ExitCode {
     println!("Ablation 2: what each ingredient of the dynamic policy buys\n");
     let mut t = Table::new(vec!["policy", "perf", "res util%", "cost"]);
     for (label, policy) in policies {
-        let r = h.run(RunSpec::of(kind, StrategyKind::HybridMixed).policy(policy));
+        let r = h.run(RunSpec::of(kind, StrategyId::HM).policy(policy));
         t.row(vec![
             label.into(),
             format!("{:.3}", r.mean_normalized_perf()),

@@ -13,7 +13,7 @@
 //! dominate the job).
 
 use hcloud::config::DataLocalityModel;
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_workloads::ScenarioKind;
@@ -27,7 +27,7 @@ fn main() -> std::process::ExitCode {
 
     println!("Extension C: data locality across private/public clusters (HM, high variability)\n");
     let data_spec = |frac, gbps, aware| {
-        RunSpec::of(kind, StrategyKind::HybridMixed).map_config(move |c| {
+        RunSpec::of(kind, StrategyId::HM).map_config(move |c| {
             c.with_data(DataLocalityModel {
                 private_data_fraction: frac,
                 bandwidth_gbps: gbps,
@@ -36,7 +36,7 @@ fn main() -> std::process::ExitCode {
         })
     };
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(kind, StrategyKind::HybridMixed));
+    plan.push(RunSpec::of(kind, StrategyId::HM));
     for frac in [0.0, 0.5, 0.7, 1.0] {
         for aware in [false, true] {
             plan.push(data_spec(frac, 10.0, aware));
@@ -47,7 +47,7 @@ fn main() -> std::process::ExitCode {
     }
     h.run_plan(plan);
 
-    let base = h.run(RunSpec::of(kind, StrategyKind::HybridMixed));
+    let base = h.run(RunSpec::of(kind, StrategyId::HM));
     println!(
         "same-cluster baseline (the paper's setup): perf {:.3}, no transfers\n",
         base.mean_normalized_perf()

@@ -16,7 +16,7 @@
 //! bit-identical for any `HCLOUD_JOBS` value.
 
 use hcloud::config::SpotPolicy;
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_faults::FaultPlanId;
@@ -43,7 +43,7 @@ fn main() -> std::process::ExitCode {
         })
     };
     let mut plan = ExperimentPlan::new();
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         for &intensity in &intensities {
             plan.push(spec(strategy, intensity));
         }
@@ -61,7 +61,7 @@ fn main() -> std::process::ExitCode {
         "storm preemptions",
     ]);
     let mut json: Vec<Vec<f64>> = Vec::new();
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let base_cost = h.run(spec(strategy, 0.0)).cost(&rates, &model).total();
         for &intensity in &intensities {
             let r = h.run(spec(strategy, intensity));

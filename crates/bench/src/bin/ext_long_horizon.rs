@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use hcloud::config::SpotPolicy;
-use hcloud::{RunResult, StrategyKind};
+use hcloud::{RunResult, StrategyId};
 use hcloud_bench::fleet::run_digest;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{artifacts, Engine, ExperimentPlan, Harness, RunSpec, Table};
@@ -60,7 +60,7 @@ fn spec(doc: &ScenarioDsl, scenario: &Arc<Scenario>, variant: &str) -> RunSpec {
         max_quality: s.max_quality,
     });
     let chaos = variant == "chaos";
-    RunSpec::on(Arc::clone(scenario), StrategyKind::HybridMixed)
+    RunSpec::on(Arc::clone(scenario), StrategyId::HM)
         .label(format!("{}/{variant}", doc.name))
         .map_config(|mut c| {
             if let Some(policy) = spot {

@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{RunConfig, RunResult, StrategyKind};
+use hcloud::{RunConfig, RunResult, StrategyId, StrategyRef};
 use hcloud_bench::fleet::run_digest;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{artifacts, ExperimentPlan, Harness, RunSpec, Table};
@@ -61,7 +61,7 @@ const INFO: &ExperimentInfo = &registry::EXT_MULTI_TENANT;
 
 /// The strategies under test: the static baseline and the paper's best
 /// hybrid.
-const STRATEGIES: [StrategyKind; 2] = [StrategyKind::StaticReserved, StrategyKind::HybridMixed];
+const STRATEGIES: [StrategyId; 2] = [StrategyId::SR, StrategyId::HM];
 
 /// Scenario variants per strategy.
 const VARIANTS: [&str; 3] = ["untenanted", "tenanted", "tenanted-chaos"];
@@ -97,16 +97,17 @@ fn tenant_plan(scenario: &Scenario, tenants: usize, rng: &mut SimRng) -> Tenancy
 fn spec(
     base: &Arc<Scenario>,
     tenanted: &Arc<Scenario>,
-    strategy: StrategyKind,
+    strategy: impl Into<StrategyRef>,
     variant: &str,
 ) -> RunSpec {
+    let strategy = strategy.into();
     let scenario = if variant == "untenanted" {
         base
     } else {
         tenanted
     };
-    let s = RunSpec::on(Arc::clone(scenario), strategy)
-        .label(format!("{variant}/{}", strategy.short_name()));
+    let label = format!("{variant}/{strategy}");
+    let s = RunSpec::on(Arc::clone(scenario), strategy).label(label);
     if variant == "tenanted-chaos" {
         s.map_config(|c| c.with_faults(FaultPlanId::FullChaos.plan()))
     } else {
@@ -161,7 +162,7 @@ fn starvation_demo(seed: u64) -> RunResult {
     let scenario =
         Scenario::from_jobs(ScenarioConfig::scaled(ScenarioKind::Static, 0.05, 10), jobs)
             .with_tenancy(plan);
-    let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+    let mut config = RunConfig::new(StrategyId::SR).without_profiling();
     config.reserved_cores_override = Some(32);
     let factory = RngFactory::new(seed);
     let ctx = RunCtx::new(&factory);
@@ -199,15 +200,9 @@ fn main() -> ExitCode {
 
     // Identity 1: an empty tenancy plan must not perturb the simulation.
     let empty = Arc::new(base.as_ref().clone().with_tenancy(TenancyPlan::new(pool)));
-    let untenanted_digest = run_digest(h.run(spec(
-        &base,
-        &tenanted,
-        StrategyKind::HybridMixed,
-        "untenanted",
-    )));
-    let empty_digest = run_digest(
-        h.run(RunSpec::on(Arc::clone(&empty), StrategyKind::HybridMixed).label("empty-plan/HM")),
-    );
+    let untenanted_digest = run_digest(h.run(spec(&base, &tenanted, StrategyId::HM, "untenanted")));
+    let empty_digest =
+        run_digest(h.run(RunSpec::on(Arc::clone(&empty), StrategyId::HM).label("empty-plan/HM")));
     let identical = untenanted_digest == empty_digest;
     if !identical {
         artifacts::artifact_failure(
@@ -249,9 +244,9 @@ fn main() -> ExitCode {
         "preempted",
     ]);
     let mut rows: Vec<Value> = Vec::new();
-    for strategy in STRATEGIES {
+    for strategy in STRATEGIES.map(StrategyRef::from) {
         for variant in VARIANTS {
-            let r = h.run(spec(&base, &tenanted, strategy, variant));
+            let r = h.run(spec(&base, &tenanted, &strategy, variant));
             let slo = slo_attainment(r);
             let fairness = r.tenant_admission_fairness();
             let cost = r.cost(&rates, &model).total();
@@ -294,12 +289,7 @@ fn main() -> ExitCode {
 
     // Per-tenant drill-down on the tenanted hybrid run: the heaviest
     // tenants by admissions, with their own SLO attainment.
-    let tenanted_hm = h.run(spec(
-        &base,
-        &tenanted,
-        StrategyKind::HybridMixed,
-        "tenanted",
-    ));
+    let tenanted_hm = h.run(spec(&base, &tenanted, StrategyId::HM, "tenanted"));
     let mut stats = tenanted_hm.tenant_stats.clone();
     stats.sort_by(|a, b| b.admitted.cmp(&a.admitted).then(a.id.cmp(&b.id)));
     let mut per_tenant_slo: std::collections::BTreeMap<u64, (usize, usize)> =

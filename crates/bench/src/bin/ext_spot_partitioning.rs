@@ -14,7 +14,7 @@
 //!   weakness is exactly this unpredictability — recover.
 
 use hcloud::config::SpotPolicy;
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -32,7 +32,7 @@ fn main() -> std::process::ExitCode {
     let bids = [0.36, 0.40, 0.45, 0.60, 1.00, 2.00];
     let isolations = [0.0, 0.25, 0.5, 0.75, 1.0];
     let spot_spec = |bid| {
-        RunSpec::of(kind, StrategyKind::HybridMixed).map_config(move |c| {
+        RunSpec::of(kind, StrategyId::HM).map_config(move |c| {
             c.with_spot(SpotPolicy {
                 bid_multiplier: bid,
                 max_quality: 0.80,
@@ -42,19 +42,19 @@ fn main() -> std::process::ExitCode {
     let partition_spec =
         |strategy, iso| RunSpec::of(kind, strategy).map_config(move |c| c.with_partitioning(iso));
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(kind, StrategyKind::HybridMixed));
+    plan.push(RunSpec::of(kind, StrategyId::HM));
     for &bid in &bids {
         plan.push(spot_spec(bid));
     }
     for &iso in &isolations {
-        for strategy in [StrategyKind::OnDemandMixed, StrategyKind::HybridMixed] {
+        for strategy in [StrategyId::ODM, StrategyId::HM] {
             plan.push(partition_spec(strategy, iso));
         }
     }
     h.run_plan(plan);
 
     println!("Extension A: spot instances under HM (high variability)\n");
-    let base = h.run(RunSpec::of(kind, StrategyKind::HybridMixed));
+    let base = h.run(RunSpec::of(kind, StrategyId::HM));
     let base_cost = base.cost(&rates, &model).total();
     let mut t = Table::new(vec![
         "bid (x od)",
@@ -110,7 +110,7 @@ fn main() -> std::process::ExitCode {
     for &iso in &isolations {
         let mut row = vec![format!("{:.0}%", iso * 100.0)];
         let mut jrow = vec![iso];
-        for strategy in [StrategyKind::OnDemandMixed, StrategyKind::HybridMixed] {
+        for strategy in [StrategyId::ODM, StrategyId::HM] {
             let r = h.run(partition_spec(strategy, iso));
             let lc = r.lc_latency_boxplot().expect("LC jobs");
             row.push(format!("{:.3}", r.mean_normalized_perf()));

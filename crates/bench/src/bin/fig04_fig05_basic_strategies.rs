@@ -6,7 +6,7 @@
 //! latency boxplots. Figure 5: run cost normalized to the static
 //! scenario under SR.
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyId, StrategyRef, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -17,11 +17,13 @@ const INFO: &ExperimentInfo = &registry::FIG04_FIG05;
 
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
-    let strategies = [
-        StrategyKind::StaticReserved,
-        StrategyKind::OnDemandFull,
-        StrategyKind::OnDemandMixed,
-    ];
+    // The basic (non-hybrid) strategies, with their paper-order index:
+    // the JSON strategy column.
+    let strategies: Vec<(usize, &StrategyRef)> = StrategyRegistry::paper()
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.is_hybrid())
+        .collect();
     let rates = Rates::default();
     let model = PricingModel::aws();
 
@@ -29,7 +31,7 @@ fn main() -> std::process::ExitCode {
     // loops below read the cached results in figure order.
     let mut plan = ExperimentPlan::new();
     for kind in ScenarioKind::ALL {
-        for strategy in strategies {
+        for &(_, strategy) in &strategies {
             for profiling in [true, false] {
                 plan.push(RunSpec::of(kind, strategy).profiling(profiling));
             }
@@ -50,7 +52,7 @@ fn main() -> std::process::ExitCode {
     ]);
     let mut json: Vec<Vec<f64>> = Vec::new();
     for kind in ScenarioKind::ALL {
-        for strategy in strategies {
+        for &(si, strategy) in &strategies {
             for profiling in [true, false] {
                 let b = h
                     .run(RunSpec::of(kind, strategy).profiling(profiling))
@@ -68,7 +70,7 @@ fn main() -> std::process::ExitCode {
                 ]);
                 json.push(vec![
                     kind as u8 as f64,
-                    strategy as u8 as f64,
+                    si as f64,
                     profiling as u8 as f64,
                     b.p5,
                     b.p25,
@@ -108,7 +110,7 @@ fn main() -> std::process::ExitCode {
     ]);
     let mut json: Vec<Vec<f64>> = Vec::new();
     for kind in ScenarioKind::ALL {
-        for strategy in strategies {
+        for &(si, strategy) in &strategies {
             for profiling in [true, false] {
                 let b = h
                     .run(RunSpec::of(kind, strategy).profiling(profiling))
@@ -126,7 +128,7 @@ fn main() -> std::process::ExitCode {
                 ]);
                 json.push(vec![
                     kind as u8 as f64,
-                    strategy as u8 as f64,
+                    si as f64,
                     profiling as u8 as f64,
                     b.p5,
                     b.p25,
@@ -156,10 +158,7 @@ fn main() -> std::process::ExitCode {
     println!("Figure 5: cost of fully reserved and on-demand systems");
     println!("(normalized to the static scenario under SR)\n");
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
     let mut t = Table::new(vec!["scenario", "SR", "OdF", "OdM"]);
@@ -167,7 +166,7 @@ fn main() -> std::process::ExitCode {
     for kind in ScenarioKind::ALL {
         let costs: Vec<f64> = strategies
             .iter()
-            .map(|&s| h.run(RunSpec::of(kind, s)).cost(&rates, &model).total() / baseline)
+            .map(|&(_, s)| h.run(RunSpec::of(kind, s)).cost(&rates, &model).total() / baseline)
             .collect();
         t.row(vec![
             kind.name().into(),
@@ -184,16 +183,10 @@ fn main() -> std::process::ExitCode {
 
     // Headline check from Section 3.4: SR beats OdM ~2.2x on average.
     let sr = h
-        .run(RunSpec::of(
-            ScenarioKind::HighVariability,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::HighVariability, StrategyId::SR))
         .mean_degradation();
     let odm = h
-        .run(RunSpec::of(
-            ScenarioKind::HighVariability,
-            StrategyKind::OnDemandMixed,
-        ))
+        .run(RunSpec::of(ScenarioKind::HighVariability, StrategyId::ODM))
         .mean_degradation();
     println!("\nSR vs OdM mean degradation (high variability): {:.2}x vs {:.2}x -> OdM {:.2}x worse (paper: 2.2x)",
         sr, odm, odm / sr);

@@ -6,7 +6,7 @@
 //! (Figure 7) the utilization of reserved resources and total cost
 //! normalized to static-SR.
 
-use hcloud::{MappingPolicy, StrategyKind};
+use hcloud::{MappingPolicy, StrategyId, StrategyRef, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -21,15 +21,18 @@ fn main() -> std::process::ExitCode {
     let rates = Rates::default();
     let model = PricingModel::aws();
     let kind = ScenarioKind::HighVariability;
-    let strategies = [StrategyKind::HybridFull, StrategyKind::HybridMixed];
+    // The two hybrids, with their paper-order index: the JSON strategy
+    // column.
+    let strategies: Vec<(usize, &StrategyRef)> = StrategyRegistry::paper()
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_hybrid())
+        .collect();
 
     // One plan: the SR-static cost baseline plus the 2x8 policy grid.
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(
-        ScenarioKind::Static,
-        StrategyKind::StaticReserved,
-    ));
-    for strategy in strategies {
+    plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
+    for &(_, strategy) in &strategies {
         for (_, policy) in MappingPolicy::paper_set() {
             plan.push(RunSpec::of(kind, strategy).policy(policy));
         }
@@ -37,10 +40,7 @@ fn main() -> std::process::ExitCode {
     h.run_plan(plan);
 
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
 
@@ -57,7 +57,7 @@ fn main() -> std::process::ExitCode {
         "cost(xSR-static)",
     ]);
     let mut json: Vec<Vec<f64>> = Vec::new();
-    for strategy in strategies {
+    for &(si, strategy) in &strategies {
         for (sidx, (label, policy)) in MappingPolicy::paper_set().into_iter().enumerate() {
             let r = h.run(RunSpec::of(kind, strategy).policy(policy));
             let perf_res = mean(&r.normalized_perf(Some(true))).unwrap_or(f64::NAN) * 100.0;
@@ -72,14 +72,7 @@ fn main() -> std::process::ExitCode {
                 format!("{util:.0}"),
                 format!("{cost:.2}"),
             ]);
-            json.push(vec![
-                strategy as u8 as f64,
-                sidx as f64,
-                perf_res,
-                perf_od,
-                util,
-                cost,
-            ]);
+            json.push(vec![si as f64, sidx as f64, perf_res, perf_od, util, cost]);
         }
     }
     println!("{t}");

@@ -4,7 +4,7 @@
 //! high-variability run. Right: validation of the queueing-time
 //! estimator — estimated vs measured waits per requested instance size.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{sparkline, write_json, Harness, RunSpec, Table};
 use hcloud_sim::stats::Cdf;
@@ -15,10 +15,7 @@ const INFO: &ExperimentInfo = &registry::FIG09;
 
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
-    let r = h.run(RunSpec::of(
-        ScenarioKind::HighVariability,
-        StrategyKind::HybridMixed,
-    ));
+    let r = h.run(RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM));
 
     println!("Figure 9 (left): soft utilization limit over time (HM, high variability)\n");
     let series: Vec<f64> = r.soft_limit_trace.iter().map(|&(_, v)| v * 100.0).collect();

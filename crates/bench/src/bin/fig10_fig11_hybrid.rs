@@ -5,7 +5,7 @@
 //! without profiling information. Figure 11: cost split into reserved and
 //! on-demand components, normalized to the static scenario under SR.
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyId, StrategyRef, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -16,11 +16,13 @@ const INFO: &ExperimentInfo = &registry::FIG10_FIG11;
 
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
-    let strategies = [
-        StrategyKind::StaticReserved,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
-    ];
+    // SR and the two hybrids (the paper strategies holding reserved
+    // capacity), with their paper-order index: the JSON strategy column.
+    let strategies: Vec<(usize, &StrategyRef)> = StrategyRegistry::paper()
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.uses_reserved())
+        .collect();
     let rates = Rates::default();
     let model = PricingModel::aws();
 
@@ -28,13 +30,13 @@ fn main() -> std::process::ExitCode {
     // no-profiling runs the headline checks compare against.
     let mut plan = ExperimentPlan::new();
     for kind in ScenarioKind::ALL {
-        for strategy in strategies {
+        for &(_, strategy) in &strategies {
             for profiling in [true, false] {
                 plan.push(RunSpec::of(kind, strategy).profiling(profiling));
             }
         }
     }
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         plan.push(RunSpec::of(ScenarioKind::HighVariability, strategy));
     }
     h.run_plan(plan);
@@ -56,7 +58,7 @@ fn main() -> std::process::ExitCode {
         ]);
         let mut json: Vec<Vec<f64>> = Vec::new();
         for kind in ScenarioKind::ALL {
-            for strategy in strategies {
+            for &(si, strategy) in &strategies {
                 for profiling in [true, false] {
                     let r = h.run(RunSpec::of(kind, strategy).profiling(profiling));
                     let b = if latency {
@@ -84,7 +86,7 @@ fn main() -> std::process::ExitCode {
                     ]);
                     json.push(vec![
                         kind as u8 as f64,
-                        strategy as u8 as f64,
+                        si as f64,
                         profiling as u8 as f64,
                         b.p5,
                         b.p25,
@@ -118,10 +120,7 @@ fn main() -> std::process::ExitCode {
 
     println!("Figure 11: cost comparison SR / HF / HM (normalized to static SR)\n");
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
     let mut t = Table::new(vec![
@@ -133,7 +132,7 @@ fn main() -> std::process::ExitCode {
     ]);
     let mut json: Vec<Vec<f64>> = Vec::new();
     for kind in ScenarioKind::ALL {
-        for strategy in strategies {
+        for &(si, strategy) in &strategies {
             let c = h.run(RunSpec::of(kind, strategy)).cost(&rates, &model);
             t.row(vec![
                 kind.name().into(),
@@ -144,7 +143,7 @@ fn main() -> std::process::ExitCode {
             ]);
             json.push(vec![
                 kind as u8 as f64,
-                strategy as u8 as f64,
+                si as f64,
                 c.reserved / baseline,
                 c.on_demand / baseline,
             ]);
@@ -160,19 +159,19 @@ fn main() -> std::process::ExitCode {
     // Headline checks.
     let kind = ScenarioKind::HighVariability;
     let sr = h
-        .run(RunSpec::of(kind, StrategyKind::StaticReserved))
+        .run(RunSpec::of(kind, StrategyId::SR))
         .mean_normalized_perf();
     let hf = h
-        .run(RunSpec::of(kind, StrategyKind::HybridFull))
+        .run(RunSpec::of(kind, StrategyId::HF))
         .mean_normalized_perf();
     let hm = h
-        .run(RunSpec::of(kind, StrategyKind::HybridMixed))
+        .run(RunSpec::of(kind, StrategyId::HM))
         .mean_normalized_perf();
     let odf = h
-        .run(RunSpec::of(kind, StrategyKind::OnDemandFull))
+        .run(RunSpec::of(kind, StrategyId::ODF))
         .mean_normalized_perf();
     let odm = h
-        .run(RunSpec::of(kind, StrategyKind::OnDemandMixed))
+        .run(RunSpec::of(kind, StrategyId::ODM))
         .mean_normalized_perf();
     println!("\nHeadline checks (high variability):");
     println!(
@@ -182,9 +181,9 @@ fn main() -> std::process::ExitCode {
     );
     println!("  hybrid vs on-demand performance: HF/OdF {:.2}x, HM/OdM {:.2}x (paper: 2.1x avg incl. latency blowups)",
         hf / odf, hm / odm);
-    let degs: Vec<f64> = StrategyKind::ALL
+    let degs: Vec<f64> = StrategyRegistry::paper()
         .iter()
-        .map(|&s| h.run(RunSpec::of(kind, s)).mean_degradation())
+        .map(|s| h.run(RunSpec::of(kind, s)).mean_degradation())
         .collect();
     println!(
         "  mean degradation factors: SR {:.2}x OdF {:.2}x OdM {:.2}x HF {:.2}x HM {:.2}x",
@@ -194,8 +193,8 @@ fn main() -> std::process::ExitCode {
         "  → hybrid-vs-on-demand degradation ratio: HM {:.2}x better than OdM (paper: 2.1x)",
         degs[2] / degs[4]
     );
-    for s in [StrategyKind::HybridFull, StrategyKind::HybridMixed] {
-        if let Some(u) = h.run(RunSpec::of(kind, s)).mean_reserved_utilization() {
+    for s in [StrategyId::HF, StrategyId::HM].map(StrategyRef::from) {
+        if let Some(u) = h.run(RunSpec::of(kind, &s)).mean_reserved_utilization() {
             println!(
                 "  {} mean reserved utilization {:.0}% (paper: ~80% in steady state)",
                 s,
@@ -204,7 +203,7 @@ fn main() -> std::process::ExitCode {
         }
     }
     println!("  with/without profiling improvement (degradation ratio): HF {:.2}x, HM {:.2}x (paper: 2.4x / 2.77x)",
-        h.run(RunSpec::of(kind, StrategyKind::HybridFull).profiling(false)).mean_degradation() / degs[3],
-        h.run(RunSpec::of(kind, StrategyKind::HybridMixed).profiling(false)).mean_degradation() / degs[4]);
+        h.run(RunSpec::of(kind, StrategyId::HF).profiling(false)).mean_degradation() / degs[3],
+        h.run(RunSpec::of(kind, StrategyId::HM).profiling(false)).mean_degradation() / degs[4]);
     h.finish("fig10_fig11")
 }

@@ -6,7 +6,7 @@
 //! reserved resources). Costs are normalized to the static scenario
 //! under SR at the default 2.74 ratio.
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates, ReservedOnDemandPricing};
@@ -24,17 +24,14 @@ fn main() -> std::process::ExitCode {
     // sweep below only re-bills cached usage records.
     let mut plan = ExperimentPlan::new();
     for kind in ScenarioKind::ALL {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             plan.push(RunSpec::of(kind, strategy));
         }
     }
     h.run_plan(plan);
 
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &PricingModel::aws())
         .total();
 
@@ -46,9 +43,9 @@ fn main() -> std::process::ExitCode {
         let mut crossover: Option<f64> = None;
         for &ratio in &ratios {
             let model = PricingModel::ReservedOnDemand(ReservedOnDemandPricing::with_ratio(ratio));
-            let costs: Vec<f64> = StrategyKind::ALL
+            let costs: Vec<f64> = StrategyRegistry::paper()
                 .iter()
-                .map(|&s| h.run(RunSpec::of(kind, s)).cost(&rates, &model).total() / baseline)
+                .map(|s| h.run(RunSpec::of(kind, s)).cost(&rates, &model).total() / baseline)
                 .collect();
             if kind == ScenarioKind::HighVariability && crossover.is_none() && costs[0] <= costs[4]
             {

@@ -5,7 +5,7 @@
 //! on-demand spend scales with the duration. Absolute dollars, like the
 //! paper.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{commitment_cost, Rates, ReservedOnDemandPricing};
@@ -25,7 +25,7 @@ fn main() -> std::process::ExitCode {
     // sweep below only re-bills cached usage records.
     let mut plan = ExperimentPlan::new();
     for kind in ScenarioKind::ALL {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             plan.push(RunSpec::of(kind, strategy));
         }
     }
@@ -41,7 +41,7 @@ fn main() -> std::process::ExitCode {
         for &w in &weeks {
             let duration = SimDuration::from_hours(w * 7 * 24);
             let mut costs = Vec::new();
-            for &s in &StrategyKind::ALL {
+            for s in StrategyRegistry::paper() {
                 let r = h.run(RunSpec::of(kind, s));
                 let run_len = r.makespan.saturating_since(SimTime::ZERO);
                 let c = commitment_cost(&r.usage_records, &rates, &pricing, run_len, duration);
@@ -53,7 +53,7 @@ fn main() -> std::process::ExitCode {
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
                 .map(|(i, _)| i)
                 .expect("non-empty");
-            let best = StrategyKind::ALL[best_idx].short_name();
+            let best = StrategyRegistry::paper()[best_idx].short_name();
             if best != last_best {
                 best_changes.push((w, best));
                 last_best = best;

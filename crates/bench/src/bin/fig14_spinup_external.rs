@@ -5,7 +5,7 @@
 //! sweeps 0–120 s. Right: p95 performance normalized to isolation as the
 //! mean external load sweeps 0–100%.
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyRef, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
@@ -22,22 +22,23 @@ fn main() -> std::process::ExitCode {
     // 6 external-load points x 5 strategies.
     let spinups = [0.0, 15.0, 30.0, 60.0, 90.0, 120.0];
     let loads = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0];
-    let spinup_spec = |strategy, secs| {
+    let paper = StrategyRegistry::paper();
+    let spinup_spec = |strategy: &StrategyRef, secs| {
         RunSpec::of(kind, strategy)
             .map_config(move |c| c.with_spin_up(SpinUpModel::with_mean_secs(secs)))
     };
-    let load_spec = |strategy, load| {
+    let load_spec = |strategy: &StrategyRef, load| {
         RunSpec::of(kind, strategy)
             .map_config(move |c| c.with_external_load(ExternalLoadModel::with_mean(load)))
     };
     let mut plan = ExperimentPlan::new();
     for &secs in &spinups {
-        for strategy in StrategyKind::ALL {
+        for strategy in paper {
             plan.push(spinup_spec(strategy, secs));
         }
     }
     for &load in &loads {
-        for strategy in StrategyKind::ALL {
+        for strategy in paper {
             plan.push(load_spec(strategy, load));
         }
     }
@@ -47,18 +48,11 @@ fn main() -> std::process::ExitCode {
     let mut t = Table::new(vec!["spin-up (s)", "SR", "OdF", "OdM", "HF", "HM"]);
     let mut json: Vec<Vec<f64>> = Vec::new();
     for &secs in &spinups {
-        // SR pays no spin-up; it is the per-sweep baseline.
-        let sr = h
-            .run(spinup_spec(StrategyKind::StaticReserved, secs))
-            .p95_normalized_perf();
+        // SR (paper[0]) pays no spin-up; it is the per-sweep baseline.
+        let sr = h.run(spinup_spec(&paper[0], secs)).p95_normalized_perf();
         let mut row = vec![format!("{secs:.0}"), "100".to_string()];
         let mut jrow = vec![secs, 100.0];
-        for strategy in [
-            StrategyKind::OnDemandFull,
-            StrategyKind::OnDemandMixed,
-            StrategyKind::HybridFull,
-            StrategyKind::HybridMixed,
-        ] {
+        for strategy in &paper[1..] {
             let p = h.run(spinup_spec(strategy, secs)).p95_normalized_perf() / sr * 100.0;
             row.push(format!("{p:.0}"));
             jrow.push(p);
@@ -81,7 +75,7 @@ fn main() -> std::process::ExitCode {
     for &load in &loads {
         let mut row = vec![format!("{:.0}", load * 100.0)];
         let mut jrow = vec![load * 100.0];
-        for strategy in StrategyKind::ALL {
+        for strategy in paper {
             let p = h.run(load_spec(strategy, load)).p95_normalized_perf() * 100.0;
             row.push(format!("{p:.0}"));
             jrow.push(p);

@@ -5,7 +5,7 @@
 //! overhead before release; the sweep covers 0–500×. Performance is p95
 //! normalized to SR; cost is normalized to static-SR.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -21,21 +21,18 @@ fn main() -> std::process::ExitCode {
     let model = PricingModel::aws();
     let retentions = [0.0, 1.0, 10.0, 50.0, 100.0, 250.0, 500.0];
     let swept = [
-        StrategyKind::OnDemandFull,
-        StrategyKind::OnDemandMixed,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
+        StrategyId::ODF,
+        StrategyId::ODM,
+        StrategyId::HF,
+        StrategyId::HM,
     ];
     let retention_spec = |strategy, mult| {
         RunSpec::of(kind, strategy).map_config(move |c| c.with_retention_mult(mult))
     };
 
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(
-        ScenarioKind::Static,
-        StrategyKind::StaticReserved,
-    ));
-    plan.push(RunSpec::of(kind, StrategyKind::StaticReserved));
+    plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
+    plan.push(RunSpec::of(kind, StrategyId::SR));
     for &mult in &retentions {
         for strategy in swept {
             plan.push(retention_spec(strategy, mult));
@@ -44,14 +41,11 @@ fn main() -> std::process::ExitCode {
     h.run_plan(plan);
 
     let baseline_cost = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
     let sr_p95 = h
-        .run(RunSpec::of(kind, StrategyKind::StaticReserved))
+        .run(RunSpec::of(kind, StrategyId::SR))
         .p95_normalized_perf();
     println!("Figure 15: sensitivity to retention time (× spin-up overhead)\n");
     let mut perf_t = Table::new(vec!["retention x", "OdF", "OdM", "HF", "HM"]);
@@ -61,7 +55,7 @@ fn main() -> std::process::ExitCode {
         let mut perf_row = vec![format!("{mult:.0}")];
         let mut cost_row = vec![format!("{mult:.0}"), "1.38".to_string()];
         let sr_cost = h
-            .run(RunSpec::of(kind, StrategyKind::StaticReserved))
+            .run(RunSpec::of(kind, StrategyId::SR))
             .cost(&rates, &model)
             .total()
             / baseline_cost;

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -37,12 +37,9 @@ fn main() -> std::process::ExitCode {
         })
         .collect();
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(
-        ScenarioKind::Static,
-        StrategyKind::StaticReserved,
-    ));
+    plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
     for scenario in &scenarios {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             plan.push(RunSpec::on(Arc::clone(scenario), strategy));
         }
     }
@@ -50,10 +47,7 @@ fn main() -> std::process::ExitCode {
 
     // Cost baseline: the unmodified static scenario under SR.
     let baseline_cost = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &model)
         .total();
 
@@ -61,7 +55,7 @@ fn main() -> std::process::ExitCode {
         let mut perf_row = vec![format!("{:.0}", f * 100.0)];
         let mut cost_row = vec![format!("{:.0}", f * 100.0)];
         let mut jrow = vec![f * 100.0];
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             let r = h.run(RunSpec::on(Arc::clone(scenario), strategy));
             let p = r.p95_normalized_perf() * 100.0;
             let c = r.cost(&rates, &model).total() / baseline_cost;

@@ -5,7 +5,7 @@
 //! GCE-style on-demand with sustained-use discounts. Costs normalized to
 //! static-SR under the reserved + on-demand model.
 
-use hcloud::StrategyKind;
+use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -27,17 +27,14 @@ fn main() -> std::process::ExitCode {
     // cached usage records.
     let mut plan = ExperimentPlan::new();
     for kind in ScenarioKind::ALL {
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             plan.push(RunSpec::of(kind, strategy));
         }
     }
     h.run_plan(plan);
 
     let baseline = h
-        .run(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ))
+        .run(RunSpec::of(ScenarioKind::Static, StrategyId::SR))
         .cost(&rates, &PricingModel::aws())
         .total();
 
@@ -49,9 +46,9 @@ fn main() -> std::process::ExitCode {
         println!("{} scenario:", kind.name());
         let mut t = Table::new(vec!["pricing model", "SR", "OdF", "OdM", "HF", "HM"]);
         for (midx, (name, model)) in models.iter().enumerate() {
-            let costs: Vec<f64> = StrategyKind::ALL
+            let costs: Vec<f64> = StrategyRegistry::paper()
                 .iter()
-                .map(|&s| h.run(RunSpec::of(kind, s)).cost(&rates, model).total() / baseline)
+                .map(|s| h.run(RunSpec::of(kind, s)).cost(&rates, model).total() / baseline)
                 .collect();
             t.row(
                 std::iter::once(name.to_string())
@@ -68,19 +65,19 @@ fn main() -> std::process::ExitCode {
         println!("{t}");
         // The paper's quoted comparison: HM vs OdF under Azure and GCE.
         let hm_azure = h
-            .run(RunSpec::of(kind, StrategyKind::HybridMixed))
+            .run(RunSpec::of(kind, StrategyId::HM))
             .cost(&rates, &PricingModel::azure())
             .total();
         let odf_azure = h
-            .run(RunSpec::of(kind, StrategyKind::OnDemandFull))
+            .run(RunSpec::of(kind, StrategyId::ODF))
             .cost(&rates, &PricingModel::azure())
             .total();
         let hm_gce = h
-            .run(RunSpec::of(kind, StrategyKind::HybridMixed))
+            .run(RunSpec::of(kind, StrategyId::HM))
             .cost(&rates, &PricingModel::gce())
             .total();
         let odf_gce = h
-            .run(RunSpec::of(kind, StrategyKind::OnDemandFull))
+            .run(RunSpec::of(kind, StrategyId::ODF))
             .cost(&rates, &PricingModel::gce())
             .total();
         println!(

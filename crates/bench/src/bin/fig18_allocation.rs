@@ -2,7 +2,7 @@
 //! the high-variability scenario — required cores vs reserved and
 //! on-demand allocations.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{sparkline, write_json, ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_sim::{SimDuration, SimTime};
@@ -17,15 +17,15 @@ fn main() -> std::process::ExitCode {
     let required = h.scenario(kind).required_cores_series();
     let step = SimDuration::from_mins(4);
 
-    let plan: ExperimentPlan = StrategyKind::ALL
+    let plan: ExperimentPlan = StrategyRegistry::paper()
         .iter()
-        .map(|&s| RunSpec::of(kind, s))
+        .map(|s| RunSpec::of(kind, s))
         .collect();
     h.run_plan(plan);
 
     println!("Figure 18: resource allocation, high-variability scenario\n");
     let mut json: Vec<Vec<f64>> = Vec::new();
-    for strategy in StrategyKind::ALL {
+    for (si, strategy) in StrategyRegistry::paper().iter().enumerate() {
         let r = h.run(RunSpec::of(kind, strategy));
         let end = r.makespan;
         let mut req = Vec::new();
@@ -55,13 +55,7 @@ fn main() -> std::process::ExitCode {
             mean_req
         );
         for (i, ((rq, rs), o)) in req.iter().zip(&res).zip(&od).enumerate() {
-            json.push(vec![
-                strategy as u8 as f64,
-                i as f64 * step.as_mins_f64(),
-                *rq,
-                *rs,
-                *o,
-            ]);
+            json.push(vec![si as f64, i as f64 * step.as_mins_f64(), *rq, *rs, *o]);
         }
     }
 
@@ -71,7 +65,7 @@ fn main() -> std::process::ExitCode {
         "avg od active",
         "released immediately",
     ]);
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = h.run(RunSpec::of(kind, strategy));
         let avg_od = r
             .od_allocated

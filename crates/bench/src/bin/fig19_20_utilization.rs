@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{heatmap_row, write_json, ExperimentPlan, Harness, RunSpec};
 use hcloud_sim::SimTime;
@@ -29,10 +29,10 @@ fn main() -> std::process::ExitCode {
 
     let util_spec =
         |strategy| RunSpec::of(kind, strategy).map_config(|c| c.with_record_utilization(true));
-    let plan: ExperimentPlan = StrategyKind::ALL.iter().map(|&s| util_spec(s)).collect();
+    let plan: ExperimentPlan = StrategyRegistry::paper().iter().map(util_spec).collect();
     h.run_plan(plan);
 
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = h.run(util_spec(strategy));
         let end_min = r.makespan.as_mins_f64().max(1.0);
 

@@ -1,7 +1,7 @@
 //! Figure 21: breakdown of the low-variability allocation by application
 //! type under HM, split between reserved and on-demand resources.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyId;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{sparkline, write_json, Harness, RunSpec};
 use hcloud_sim::series::StepSeries;
@@ -27,10 +27,7 @@ const INFO: &ExperimentInfo = &registry::FIG21;
 fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
     let r = h
-        .run(RunSpec::of(
-            ScenarioKind::LowVariability,
-            StrategyKind::HybridMixed,
-        ))
+        .run(RunSpec::of(ScenarioKind::LowVariability, StrategyId::HM))
         .clone();
 
     // Build per-(side, group) allocated-core series from job outcomes.

@@ -20,7 +20,7 @@ use std::time::Instant;
 use hcloud::monitor::QualityMonitor;
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyRegistry,
 };
 use hcloud_bench::fleet::run_digest as digest;
 use hcloud_bench::registry::{self, ExperimentInfo};
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
 
     let mut strategy_rows: Vec<Value> = Vec::new();
     let mut total_ms = 0.0;
-    for &strategy in &StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let config = RunConfig::new(strategy);
         let mut best_ms = f64::INFINITY;
         let mut dig = String::new();

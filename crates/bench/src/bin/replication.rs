@@ -6,7 +6,7 @@
 //! worst-case seed — the reproduction's claims should survive all of
 //! them.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{write_json, Harness, RunSpec, Table};
 use hcloud_pricing::{PricingModel, Rates};
@@ -43,15 +43,16 @@ fn main() -> std::process::ExitCode {
     let plan: hcloud_bench::ExperimentPlan = SEEDS
         .iter()
         .flat_map(|&seed| {
-            StrategyKind::ALL
+            StrategyRegistry::paper()
                 .iter()
-                .map(move |&s| RunSpec::of(ScenarioKind::HighVariability, s).seed(seed))
+                .map(move |s| RunSpec::of(ScenarioKind::HighVariability, s).seed(seed))
         })
         .collect();
     let results = h.run_plan(plan);
 
     for (sidx, &seed) in SEEDS.iter().enumerate() {
-        let runs = &results[sidx * StrategyKind::ALL.len()..(sidx + 1) * StrategyKind::ALL.len()];
+        let runs = &results
+            [sidx * StrategyRegistry::paper().len()..(sidx + 1) * StrategyRegistry::paper().len()];
         let mut jrow = vec![seed as f64];
         for (i, r) in runs.iter().enumerate() {
             perf[i].record(r.mean_normalized_perf());
@@ -87,7 +88,7 @@ fn main() -> std::process::ExitCode {
         "mean degradation",
         "run cost $",
     ]);
-    for (i, strategy) in StrategyKind::ALL.iter().enumerate() {
+    for (i, strategy) in StrategyRegistry::paper().iter().enumerate() {
         t.row(vec![
             strategy.short_name().into(),
             fmt(&perf[i]),

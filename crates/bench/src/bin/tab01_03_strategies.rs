@@ -1,7 +1,7 @@
 //! Tables 1 and 3: qualitative comparison of provisioning configurations
 //! and the strategy resource matrix.
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::Table;
 
@@ -50,12 +50,16 @@ fn main() {
     let yes_no = |b: bool| if b { "Yes" } else { "No" }.to_string();
     t3.row(
         std::iter::once("Reserved resources".to_string())
-            .chain(StrategyKind::ALL.iter().map(|s| yes_no(s.uses_reserved())))
+            .chain(
+                StrategyRegistry::paper()
+                    .iter()
+                    .map(|s| yes_no(s.uses_reserved())),
+            )
             .collect(),
     );
     t3.row(
         std::iter::once("On-demand resources".to_string())
-            .chain(StrategyKind::ALL.iter().map(|s| {
+            .chain(StrategyRegistry::paper().iter().map(|s| {
                 if !s.uses_on_demand() {
                     "No".to_string()
                 } else if s.on_demand_full_only() {

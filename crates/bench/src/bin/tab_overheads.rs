@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use hcloud::StrategyKind;
+use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{ExperimentPlan, Harness, RunSpec, Table};
 use hcloud_interference::{resource_quality, ResourceVector};
@@ -24,9 +24,9 @@ fn main() -> std::process::ExitCode {
     let mut h = Harness::for_experiment(INFO);
     let kind = ScenarioKind::HighVariability;
 
-    let plan: ExperimentPlan = StrategyKind::ALL
+    let plan: ExperimentPlan = StrategyRegistry::paper()
         .iter()
-        .map(|&s| RunSpec::of(kind, s))
+        .map(|s| RunSpec::of(kind, s))
         .collect();
     h.run_plan(plan);
 
@@ -39,7 +39,7 @@ fn main() -> std::process::ExitCode {
         "reschedules",
         "resched rate %",
     ]);
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = h.run(RunSpec::of(kind, strategy));
         t.row(vec![
             strategy.short_name().into(),

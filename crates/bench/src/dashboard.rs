@@ -178,7 +178,7 @@ fn hotpath_rows(root: &Path) -> Vec<Value> {
 }
 
 /// Extracts the perf-trajectory candidate rows from the repo-root
-/// `BENCH_fleet.json`: one row per queue implementation.
+/// `BENCH_fleet.json`: one row per `queues` entry.
 fn fleet_rows(root: &Path) -> Vec<Value> {
     let Some(doc) = load_json(&root.join("BENCH_fleet.json")) else {
         return Vec::new();

@@ -37,193 +37,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcloud::runner::{run_scenario_queued, RunCtx};
-
-use crate::env::EnvOpts;
-use hcloud::{MappingPolicy, RunConfig, RunResult, StrategyId, StrategyRef};
-use hcloud_audit::{AuditMode, Auditor};
+use hcloud::runner::{run_scenario, RunCtx};
+use hcloud::{MappingPolicy, RunConfig, RunResult, StrategyRef};
+use hcloud_audit::Auditor;
 use hcloud_faults::{FaultPlan, FaultPlanId};
-use hcloud_sim::event::QueueKind;
 use hcloud_sim::rng::RngFactory;
 use hcloud_telemetry::{
-    MetricsRegistry, ProfSpan, ProfileSnapshot, Profiler, RunMeta, TraceEvent, TraceMode, Tracer,
+    MetricsRegistry, ProfSpan, ProfileSnapshot, Profiler, RunMeta, TraceEvent, Tracer,
 };
-use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
+use hcloud_workloads::{Scenario, ScenarioKind};
 
-/// The ambient experiment context: master seed, fast (smoke) mode, and
-/// the worker-count override. One typed home for what used to be three
-/// scattered `std::env::var` call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExperimentCtx {
-    /// The master seed every ambient-seeded run derives from
-    /// (`HCLOUD_SEED`, default 42).
-    pub master_seed: u64,
-    /// Fast mode shrinks scenarios for smoke runs (`HCLOUD_FAST=1`).
-    pub fast: bool,
-    /// Explicit worker count (`HCLOUD_JOBS`); `None` uses
-    /// `std::thread::available_parallelism`.
-    pub jobs: Option<usize>,
-    /// Telemetry mode (`HCLOUD_TRACE`): `off` (default), `summary`
-    /// (phase spans on stderr), or `full` (spans + per-run flight
-    /// recorder).
-    pub trace: TraceMode,
-    /// Ambient fault plan (`HCLOUD_FAULTS`): `off` (default) or a
-    /// built-in plan name. Applied to every run whose spec does not set
-    /// its own plan.
-    pub faults: FaultPlanId,
-    /// Conservation-audit mode (`HCLOUD_AUDIT`): `off` (default),
-    /// `final` (identities checked at end of run) or `strict`
-    /// (violations abort at the offending event).
-    pub audit: AuditMode,
-    /// Event-queue implementation (`HCLOUD_QUEUE`): `wheel` (timing
-    /// wheel, default) or `heap`. Digest-identical either way; the knob
-    /// trades only wall clock.
-    pub queue: QueueKind,
-    /// Strategy focus (`HCLOUD_STRATEGY`): restrict a binary's sweep to
-    /// one registered strategy (registry id or short name); `None` runs
-    /// the binary's full strategy set.
-    pub strategy: Option<StrategyId>,
-}
-
-impl Default for ExperimentCtx {
-    fn default() -> Self {
-        ExperimentCtx {
-            master_seed: 42,
-            fast: false,
-            jobs: None,
-            trace: TraceMode::Off,
-            faults: FaultPlanId::Off,
-            audit: AuditMode::Off,
-            queue: QueueKind::Wheel,
-            strategy: None,
-        }
-    }
-}
-
-impl From<EnvOpts> for ExperimentCtx {
-    fn from(opts: EnvOpts) -> Self {
-        ExperimentCtx {
-            master_seed: opts.seed,
-            fast: opts.fast,
-            jobs: opts.jobs,
-            trace: opts.trace,
-            faults: opts.faults,
-            audit: opts.audit,
-            queue: opts.queue,
-            strategy: opts.strategy,
-        }
-    }
-}
-
-impl ExperimentCtx {
-    /// A context with the given master seed and the defaults otherwise.
-    pub fn new(master_seed: u64) -> Self {
-        ExperimentCtx {
-            master_seed,
-            ..Default::default()
-        }
-    }
-
-    /// Sets fast (smoke) mode.
-    pub fn with_fast(mut self, fast: bool) -> Self {
-        self.fast = fast;
-        self
-    }
-
-    /// Pins the worker count (1 = sequential).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Sets the telemetry mode.
-    pub fn with_trace(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Sets the ambient fault plan.
-    pub fn with_faults(mut self, faults: FaultPlanId) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the conservation-audit mode.
-    pub fn with_audit(mut self, audit: AuditMode) -> Self {
-        self.audit = audit;
-        self
-    }
-
-    /// Sets the event-queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Sets the strategy focus.
-    pub fn with_strategy(mut self, strategy: StrategyId) -> Self {
-        self.strategy = Some(strategy);
-        self
-    }
-
-    /// Parses the eight ambient variables. Malformed values are an error
-    /// with a message naming the variable, the offending value, and what
-    /// was expected — never a silent fallback.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parse(
-        seed: Option<&str>,
-        fast: Option<&str>,
-        jobs: Option<&str>,
-        trace: Option<&str>,
-        faults: Option<&str>,
-        audit: Option<&str>,
-        queue: Option<&str>,
-        strategy: Option<&str>,
-    ) -> Result<Self, String> {
-        EnvOpts::parse(seed, fast, jobs, trace, faults, audit, queue, strategy).map(Self::from)
-    }
-
-    /// Reads `HCLOUD_SEED` / `HCLOUD_FAST` / `HCLOUD_JOBS` /
-    /// `HCLOUD_TRACE` / `HCLOUD_FAULTS` / `HCLOUD_AUDIT` /
-    /// `HCLOUD_QUEUE` / `HCLOUD_STRATEGY` from the environment.
-    pub fn from_env() -> Result<Self, String> {
-        EnvOpts::from_env().map(Self::from)
-    }
-
-    /// [`Self::from_env`] for binaries: prints the error and exits 2
-    /// instead of running an experiment the user didn't configure.
-    pub fn from_env_or_exit() -> Self {
-        Self::from_env().unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        })
-    }
-
-    /// The scenario configuration for `kind` under this context: paper
-    /// scale normally, a scaled-down variant in fast mode.
-    pub fn scenario_config(&self, kind: ScenarioKind) -> ScenarioConfig {
-        if self.fast {
-            ScenarioConfig::scaled(kind, 0.15, 25)
-        } else {
-            ScenarioConfig::paper(kind)
-        }
-    }
-
-    /// Generates the scenario for `kind` under `seed` (ambient seed if
-    /// `None`) in this context's scale.
-    pub fn scenario(&self, kind: ScenarioKind, seed: Option<u64>) -> Scenario {
-        let seed = seed.unwrap_or(self.master_seed);
-        Scenario::generate(self.scenario_config(kind), &RngFactory::new(seed))
-    }
-
-    /// Worker threads for a plan of `runs` independent simulations.
-    pub fn worker_count(&self, runs: usize) -> usize {
-        let pool = self
-            .jobs
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        pool.min(runs).max(1)
-    }
-}
+use crate::env::ExperimentCtx;
 
 /// Where a [`RunSpec`] gets its scenario.
 #[derive(Debug, Clone)]
@@ -241,11 +65,11 @@ enum ScenarioSource {
 /// (or [`crate::Harness::run`] for a single cached run):
 ///
 /// ```no_run
-/// use hcloud::StrategyKind;
+/// use hcloud::StrategyId;
 /// use hcloud_bench::RunSpec;
 /// use hcloud_workloads::ScenarioKind;
 ///
-/// let spec = RunSpec::of(ScenarioKind::HighVariability, StrategyKind::HybridMixed)
+/// let spec = RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
 ///     .profiling(false)
 ///     .seed(7);
 /// ```
@@ -259,7 +83,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A paper-default run of `strategy` (a [`StrategyRef`], a
-    /// [`hcloud::StrategyKind`], or anything else convertible) on the
+    /// [`hcloud::StrategyId`], or anything else convertible) on the
     /// generated scenario `kind`.
     pub fn of(kind: ScenarioKind, strategy: impl Into<StrategyRef>) -> RunSpec {
         RunSpec {
@@ -476,6 +300,8 @@ pub struct RunTelemetry {
 
 /// One run's recorded trace: identity plus the sim-time-ordered event
 /// stream. Produced only under [`TraceMode::Full`].
+///
+/// [`TraceMode::Full`]: hcloud_telemetry::TraceMode::Full
 #[derive(Debug, Clone)]
 pub struct RunTrace {
     /// The run's flight-recorder identity (header line of its file).
@@ -600,6 +426,8 @@ pub struct PlanOutcome {
     pub results: Vec<RunResult>,
     /// One trace per spec under [`TraceMode::Full`] (plan-index aligned;
     /// all `None` otherwise).
+    ///
+    /// [`TraceMode::Full`]: hcloud_telemetry::TraceMode::Full
     pub traces: Vec<Option<RunTrace>>,
     /// What it cost.
     pub telemetry: PlanTelemetry,
@@ -689,8 +517,7 @@ impl Engine {
                     Tracer::disabled()
                 };
                 let auditor = Auditor::new(audit);
-                let result = run_scenario_queued(
-                    self.ctx.queue,
+                let result = run_scenario(
                     scenario,
                     &config,
                     &RunCtx::new(&factory)
@@ -706,7 +533,7 @@ impl Engine {
                 (result, trace)
             } else {
                 (
-                    run_scenario_queued(self.ctx.queue, scenario, &config, &RunCtx::new(&factory))
+                    run_scenario(scenario, &config, &RunCtx::new(&factory))
                         .expect("no auditor attached"),
                     None,
                 )
@@ -787,124 +614,15 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcloud::StrategyKind;
-
-    #[test]
-    fn ctx_defaults_match_legacy_behaviour() {
-        let ctx = ExperimentCtx::parse(None, None, None, None, None, None, None, None).unwrap();
-        assert_eq!(ctx.master_seed, 42);
-        assert!(!ctx.fast);
-        assert_eq!(ctx.jobs, None);
-        assert_eq!(ctx.trace, TraceMode::Off);
-        assert_eq!(ctx.faults, FaultPlanId::Off);
-        assert_eq!(ctx.audit, AuditMode::Off);
-        assert_eq!(ctx.queue, QueueKind::Wheel);
-        assert_eq!(ctx.strategy, None);
-    }
-
-    #[test]
-    fn ctx_parses_explicit_values() {
-        let ctx = ExperimentCtx::parse(
-            Some("7"),
-            Some("1"),
-            Some("3"),
-            Some("full"),
-            Some("full-chaos"),
-            Some("strict"),
-            Some("heap"),
-            Some("RA"),
-        )
-        .unwrap();
-        assert_eq!(ctx.master_seed, 7);
-        assert!(ctx.fast);
-        assert_eq!(ctx.jobs, Some(3));
-        assert_eq!(ctx.trace, TraceMode::Full);
-        assert_eq!(ctx.faults, FaultPlanId::FullChaos);
-        assert_eq!(ctx.audit, AuditMode::Strict);
-        assert_eq!(ctx.queue, QueueKind::Heap);
-        assert_eq!(
-            ctx.strategy.map(|s| s.as_str()),
-            Some("reservation-autoscale")
-        );
-        let ctx = ExperimentCtx::parse(
-            None,
-            Some("0"),
-            None,
-            Some("summary"),
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(!ctx.fast);
-        assert_eq!(ctx.trace, TraceMode::Summary);
-        let ctx = ExperimentCtx::parse(
-            None,
-            None,
-            None,
-            Some("off"),
-            Some("off"),
-            Some("final"),
-            Some("wheel"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(ctx.trace, TraceMode::Off);
-        assert_eq!(ctx.faults, FaultPlanId::Off);
-        assert_eq!(ctx.audit, AuditMode::Final);
-        assert_eq!(ctx.queue, QueueKind::Wheel);
-        assert_eq!(ctx.strategy, None);
-    }
-
-    #[test]
-    fn ctx_rejects_malformed_values_loudly() {
-        let e = ExperimentCtx::parse(Some("banana"), None, None, None, None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_SEED") && e.contains("banana"), "{e}");
-        let e = ExperimentCtx::parse(None, Some("yes"), None, None, None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_FAST") && e.contains("yes"), "{e}");
-        let e =
-            ExperimentCtx::parse(None, None, Some("0"), None, None, None, None, None).unwrap_err();
-        assert!(e.contains("HCLOUD_JOBS"), "{e}");
-        let e = ExperimentCtx::parse(None, None, Some("many"), None, None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_JOBS") && e.contains("many"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, Some("loud"), None, None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_TRACE") && e.contains("loud"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, Some("mayhem"), None, None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_FAULTS") && e.contains("mayhem"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, Some("paranoid"), None, None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_AUDIT") && e.contains("paranoid"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, None, Some("stack"), None)
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_QUEUE") && e.contains("stack"), "{e}");
-        let e = ExperimentCtx::parse(None, None, None, None, None, None, None, Some("bogus"))
-            .unwrap_err();
-        assert!(e.contains("HCLOUD_STRATEGY") && e.contains("bogus"), "{e}");
-    }
-
-    #[test]
-    fn heap_queue_runs_are_digest_identical_to_wheel() {
-        let plan = ExperimentPlan::from(vec![RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::HybridMixed,
-        )]);
-        let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(1);
-        let wheel = Engine::new(ctx).run_plan(&plan);
-        let heap = Engine::new(ctx.with_queue(QueueKind::Heap)).run_plan(&plan);
-        assert_eq!(wheel.results, heap.results);
-    }
+    use hcloud::StrategyId;
+    use hcloud_audit::AuditMode;
+    use hcloud_telemetry::TraceMode;
 
     #[test]
     fn ambient_fault_plan_changes_cache_key_but_respects_explicit_plans() {
         let off = ExperimentCtx::new(42);
         let chaotic = ExperimentCtx::new(42).with_faults(FaultPlanId::FullChaos);
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed);
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::HM);
         assert_ne!(spec.cache_key(&off), spec.cache_key(&chaotic));
         assert!(spec.effective_config(&off).faults.is_off());
         assert!(!spec.effective_config(&chaotic).faults.is_off());
@@ -926,11 +644,11 @@ mod tests {
 
     #[test]
     fn specs_build_and_label() {
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed)
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::HM)
             .profiling(false)
             .seed(9);
         assert!(!spec.get_config().profiling);
-        assert_eq!(spec.strategy(), StrategyKind::HybridMixed);
+        assert_eq!(spec.strategy(), StrategyRef::from(StrategyId::HM));
         assert_eq!(spec.scenario_kind(), Some(ScenarioKind::Static));
         assert!(spec.display_label().contains("seed9"));
         let labelled = spec.label("custom-label");
@@ -940,7 +658,7 @@ mod tests {
     #[test]
     fn cache_keys_distinguish_configs_and_seeds() {
         let ctx = ExperimentCtx::new(42);
-        let a = RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed);
+        let a = RunSpec::of(ScenarioKind::Static, StrategyId::HM);
         let b = a.clone().profiling(false);
         let c = a.clone().seed(43);
         let d = a.clone().map_config(|c| c.with_retention_mult(4.0));
@@ -957,7 +675,7 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential_and_plan_order() {
         let mut plan = ExperimentPlan::new();
-        for strategy in [StrategyKind::StaticReserved, StrategyKind::HybridMixed] {
+        for strategy in [StrategyId::SR, StrategyId::HM] {
             for seed in [1u64, 2] {
                 plan.push(RunSpec::of(ScenarioKind::Static, strategy).seed(seed));
             }
@@ -990,8 +708,8 @@ mod tests {
     #[test]
     fn full_trace_mode_records_every_run() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(3));
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::StaticReserved).seed(3));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(3));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR).seed(3));
         let ctx = ExperimentCtx::new(42)
             .with_fast(true)
             .with_trace(TraceMode::Full);
@@ -1013,10 +731,7 @@ mod tests {
     #[test]
     fn registry_restates_the_summary() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(
-            ScenarioKind::Static,
-            StrategyKind::StaticReserved,
-        ));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(1);
         let outcome = Engine::new(ctx).run_plan(&plan);
         let reg = outcome.telemetry.registry();
@@ -1038,8 +753,8 @@ mod tests {
     #[test]
     fn strict_audit_plan_succeeds_and_matches_unaudited_results() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(5));
-        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyKind::OnDemandMixed).seed(5));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(5));
+        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyId::ODM).seed(5));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(2);
         let plain = Engine::new(ctx).run_plan(&plan);
         let audited = Engine::new(ctx.with_audit(AuditMode::Strict))
@@ -1052,8 +767,8 @@ mod tests {
     #[test]
     fn summary_profiling_never_perturbs_results_and_counts_spans() {
         let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::HybridMixed).seed(8));
-        plan.push(RunSpec::of(ScenarioKind::LowVariability, StrategyKind::OnDemandFull).seed(8));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(8));
+        plan.push(RunSpec::of(ScenarioKind::LowVariability, StrategyId::ODF).seed(8));
         let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(2);
         let plain = Engine::new(ctx).run_plan(&plan);
         let profiled = Engine::new(ctx.with_trace(TraceMode::Summary)).run_plan(&plan);

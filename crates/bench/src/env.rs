@@ -1,69 +1,112 @@
-//! Typed reader for the ambient `HCLOUD_*` experiment variables.
+//! The ambient experiment context, typed from the `HCLOUD_*` variables.
 //!
-//! Every bench binary and the CI smoke jobs are steered by eight
+//! Every bench binary and the CI smoke jobs are steered by seven
 //! environment variables — `HCLOUD_SEED`, `HCLOUD_FAST`, `HCLOUD_JOBS`,
-//! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_QUEUE`,
-//! `HCLOUD_STRATEGY`.
-//! [`EnvOpts`] is their one typed home: each variable is parsed exactly
-//! once, and a malformed value is a hard error naming the variable, the
-//! offending value, and what was expected — never a silent fallback to a
-//! default the user did not ask for.
+//! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_STRATEGY`.
+//! [`ExperimentCtx`] is their one typed home: each variable is parsed
+//! exactly once, and a malformed value is a hard error naming the
+//! variable, the offending value, and what was expected — never a silent
+//! fallback to a default the user did not ask for.
 
 use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_audit::AuditMode;
 use hcloud_faults::FaultPlanId;
-use hcloud_sim::event::QueueKind;
+use hcloud_sim::rng::RngFactory;
 use hcloud_telemetry::TraceMode;
+use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
 
-/// The eight ambient experiment variables, parsed and typed.
-///
-/// [`crate::ExperimentCtx`] is built from this; binaries that need only
-/// the raw knobs (e.g. a perf harness that sizes its own scenario) can
-/// read [`EnvOpts`] directly.
+/// The ambient experiment context: the seven `HCLOUD_*` variables,
+/// parsed and typed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvOpts {
-    /// `HCLOUD_SEED` (default 42): the master seed every ambient-seeded
-    /// run derives from.
-    pub seed: u64,
-    /// `HCLOUD_FAST=1`: shrink scenarios for smoke runs.
+pub struct ExperimentCtx {
+    /// The master seed every ambient-seeded run derives from
+    /// (`HCLOUD_SEED`, default 42).
+    pub master_seed: u64,
+    /// Fast mode shrinks scenarios for smoke runs (`HCLOUD_FAST=1`).
     pub fast: bool,
-    /// `HCLOUD_JOBS`: explicit worker count (1 = sequential); `None`
-    /// uses `std::thread::available_parallelism`.
+    /// Explicit worker count (`HCLOUD_JOBS`); `None` uses
+    /// `std::thread::available_parallelism`.
     pub jobs: Option<usize>,
-    /// `HCLOUD_TRACE`: `off` (default), `summary` or `full`.
+    /// Telemetry mode (`HCLOUD_TRACE`): `off` (default), `summary`
+    /// (phase spans on stderr), or `full` (spans + per-run flight
+    /// recorder).
     pub trace: TraceMode,
-    /// `HCLOUD_FAULTS`: `off` (default) or a built-in fault-plan name.
+    /// Ambient fault plan (`HCLOUD_FAULTS`): `off` (default) or a
+    /// built-in plan name. Applied to every run whose spec does not set
+    /// its own plan.
     pub faults: FaultPlanId,
-    /// `HCLOUD_AUDIT`: `off` (default), `final` or `strict`.
+    /// Conservation-audit mode (`HCLOUD_AUDIT`): `off` (default),
+    /// `final` (identities checked at end of run) or `strict`
+    /// (violations abort at the offending event).
     pub audit: AuditMode,
-    /// `HCLOUD_QUEUE`: `wheel` (timing wheel, default) or `heap`.
-    pub queue: QueueKind,
-    /// `HCLOUD_STRATEGY`: focus the run on one registered strategy
-    /// (registry id or short name); `None` runs each binary's full
-    /// strategy set.
+    /// Strategy focus (`HCLOUD_STRATEGY`): restrict a binary's sweep to
+    /// one registered strategy (registry id or short name); `None` runs
+    /// the binary's full strategy set.
     pub strategy: Option<StrategyId>,
 }
 
-impl Default for EnvOpts {
+impl Default for ExperimentCtx {
     fn default() -> Self {
-        EnvOpts {
-            seed: 42,
+        ExperimentCtx {
+            master_seed: 42,
             fast: false,
             jobs: None,
             trace: TraceMode::Off,
             faults: FaultPlanId::Off,
             audit: AuditMode::Off,
-            queue: QueueKind::Wheel,
             strategy: None,
         }
     }
 }
 
-impl EnvOpts {
-    /// Parses the eight ambient variables from their raw string values.
+impl ExperimentCtx {
+    /// A context with the given master seed and the defaults otherwise.
+    pub fn new(master_seed: u64) -> Self {
+        ExperimentCtx {
+            master_seed,
+            ..Default::default()
+        }
+    }
+
+    /// Sets fast (smoke) mode.
+    pub fn with_fast(mut self, fast: bool) -> Self {
+        self.fast = fast;
+        self
+    }
+
+    /// Pins the worker count (1 = sequential).
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
+        self.jobs = Some(jobs);
+        self
+    }
+
+    /// Sets the telemetry mode.
+    pub fn with_trace(mut self, trace: TraceMode) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Sets the ambient fault plan.
+    pub fn with_faults(mut self, faults: FaultPlanId) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Sets the conservation-audit mode.
+    pub fn with_audit(mut self, audit: AuditMode) -> Self {
+        self.audit = audit;
+        self
+    }
+
+    /// Sets the strategy focus.
+    pub fn with_strategy(mut self, strategy: StrategyId) -> Self {
+        self.strategy = Some(strategy);
+        self
+    }
+
+    /// Parses the seven ambient variables from their raw string values.
     /// Malformed values are an error with a message naming the variable,
     /// the offending value, and what was expected.
-    #[allow(clippy::too_many_arguments)]
     pub fn parse(
         seed: Option<&str>,
         fast: Option<&str>,
@@ -71,10 +114,9 @@ impl EnvOpts {
         trace: Option<&str>,
         faults: Option<&str>,
         audit: Option<&str>,
-        queue: Option<&str>,
         strategy: Option<&str>,
     ) -> Result<Self, String> {
-        let seed = match seed {
+        let master_seed = match seed {
             None => 42,
             Some(s) => s.trim().parse::<u64>().map_err(|_| {
                 format!("invalid HCLOUD_SEED {s:?}: expected an unsigned 64-bit integer")
@@ -103,7 +145,6 @@ impl EnvOpts {
         let trace = TraceMode::parse(trace)?;
         let faults = FaultPlanId::parse(faults)?;
         let audit = AuditMode::parse(audit)?;
-        let queue = QueueKind::parse(queue)?;
         let strategy = match strategy {
             None => None,
             Some(s) => Some(s.trim().parse::<StrategyId>().map_err(|_| {
@@ -114,19 +155,18 @@ impl EnvOpts {
                 )
             })?),
         };
-        Ok(EnvOpts {
-            seed,
+        Ok(ExperimentCtx {
+            master_seed,
             fast,
             jobs,
             trace,
             faults,
             audit,
-            queue,
             strategy,
         })
     }
 
-    /// Reads the eight `HCLOUD_*` variables from the process environment.
+    /// Reads the seven `HCLOUD_*` variables from the process environment.
     pub fn from_env() -> Result<Self, String> {
         let var = |name: &str| std::env::var(name).ok();
         Self::parse(
@@ -136,9 +176,42 @@ impl EnvOpts {
             var("HCLOUD_TRACE").as_deref(),
             var("HCLOUD_FAULTS").as_deref(),
             var("HCLOUD_AUDIT").as_deref(),
-            var("HCLOUD_QUEUE").as_deref(),
             var("HCLOUD_STRATEGY").as_deref(),
         )
+    }
+
+    /// [`Self::from_env`] for binaries: prints the error and exits 2
+    /// instead of running an experiment the user didn't configure.
+    pub fn from_env_or_exit() -> Self {
+        Self::from_env().unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The scenario configuration for `kind` under this context: paper
+    /// scale normally, a scaled-down variant in fast mode.
+    pub fn scenario_config(&self, kind: ScenarioKind) -> ScenarioConfig {
+        if self.fast {
+            ScenarioConfig::scaled(kind, 0.15, 25)
+        } else {
+            ScenarioConfig::paper(kind)
+        }
+    }
+
+    /// Generates the scenario for `kind` under `seed` (ambient seed if
+    /// `None`) in this context's scale.
+    pub fn scenario(&self, kind: ScenarioKind, seed: Option<u64>) -> Scenario {
+        let seed = seed.unwrap_or(self.master_seed);
+        Scenario::generate(self.scenario_config(kind), &RngFactory::new(seed))
+    }
+
+    /// Worker threads for a plan of `runs` independent simulations.
+    pub fn worker_count(&self, runs: usize) -> usize {
+        let pool = self
+            .jobs
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        pool.min(runs).max(1)
     }
 }
 
@@ -146,7 +219,7 @@ impl EnvOpts {
 mod tests {
     use super::*;
 
-    /// Which of the eight variables a table row exercises.
+    /// Which of the seven variables a table row exercises.
     #[derive(Clone, Copy)]
     enum Var {
         Seed,
@@ -155,31 +228,29 @@ mod tests {
         Trace,
         Faults,
         Audit,
-        Queue,
         Strategy,
     }
 
-    fn parse_one(var: Var, value: &str) -> Result<EnvOpts, String> {
+    fn parse_one(var: Var, value: &str) -> Result<ExperimentCtx, String> {
         let v = Some(value);
         match var {
-            Var::Seed => EnvOpts::parse(v, None, None, None, None, None, None, None),
-            Var::Fast => EnvOpts::parse(None, v, None, None, None, None, None, None),
-            Var::Jobs => EnvOpts::parse(None, None, v, None, None, None, None, None),
-            Var::Trace => EnvOpts::parse(None, None, None, v, None, None, None, None),
-            Var::Faults => EnvOpts::parse(None, None, None, None, v, None, None, None),
-            Var::Audit => EnvOpts::parse(None, None, None, None, None, v, None, None),
-            Var::Queue => EnvOpts::parse(None, None, None, None, None, None, v, None),
-            Var::Strategy => EnvOpts::parse(None, None, None, None, None, None, None, v),
+            Var::Seed => ExperimentCtx::parse(v, None, None, None, None, None, None),
+            Var::Fast => ExperimentCtx::parse(None, v, None, None, None, None, None),
+            Var::Jobs => ExperimentCtx::parse(None, None, v, None, None, None, None),
+            Var::Trace => ExperimentCtx::parse(None, None, None, v, None, None, None),
+            Var::Faults => ExperimentCtx::parse(None, None, None, None, v, None, None),
+            Var::Audit => ExperimentCtx::parse(None, None, None, None, None, v, None),
+            Var::Strategy => ExperimentCtx::parse(None, None, None, None, None, None, v),
         }
     }
 
     #[test]
     fn table_of_valid_and_malformed_values() {
         // (variable, raw value, Ok(check) | Err(expected substrings)).
-        type Check = fn(&EnvOpts) -> bool;
+        type Check = fn(&ExperimentCtx) -> bool;
         let ok: Vec<(Var, &str, Check)> = vec![
-            (Var::Seed, "7", |o| o.seed == 7),
-            (Var::Seed, " 123 ", |o| o.seed == 123),
+            (Var::Seed, "7", |o| o.master_seed == 7),
+            (Var::Seed, " 123 ", |o| o.master_seed == 123),
             (Var::Fast, "1", |o| o.fast),
             (Var::Fast, "0", |o| !o.fast),
             (Var::Jobs, "1", |o| o.jobs == Some(1)),
@@ -194,25 +265,19 @@ mod tests {
             (Var::Audit, "off", |o| o.audit == AuditMode::Off),
             (Var::Audit, "final", |o| o.audit == AuditMode::Final),
             (Var::Audit, "strict", |o| o.audit == AuditMode::Strict),
-            (Var::Queue, "wheel", |o| o.queue == QueueKind::Wheel),
-            (Var::Queue, "heap", |o| o.queue == QueueKind::Heap),
             (Var::Strategy, "hybrid-mixed", |o| {
-                o.strategy.map(|s| s.as_str()) == Some("hybrid-mixed")
+                o.strategy == Some(StrategyId::HM)
             }),
-            (Var::Strategy, "HM", |o| {
-                o.strategy.map(|s| s.as_str()) == Some("hybrid-mixed")
-            }),
+            (Var::Strategy, "HM", |o| o.strategy == Some(StrategyId::HM)),
             (Var::Strategy, "reservation-autoscale", |o| {
-                o.strategy.map(|s| s.as_str()) == Some("reservation-autoscale")
+                o.strategy == Some(StrategyId::RA)
             }),
-            (Var::Strategy, "qc", |o| {
-                o.strategy.map(|s| s.as_str()) == Some("queueing-capacity")
-            }),
+            (Var::Strategy, "qc", |o| o.strategy == Some(StrategyId::QC)),
         ];
         for (var, value, check) in ok {
-            let opts = parse_one(var, value)
+            let ctx = parse_one(var, value)
                 .unwrap_or_else(|e| panic!("{value:?} should parse, got: {e}"));
-            assert!(check(&opts), "{value:?} parsed to the wrong value");
+            assert!(check(&ctx), "{value:?} parsed to the wrong value");
         }
 
         let bad: Vec<(Var, &str, &[&str])> = vec![
@@ -225,8 +290,6 @@ mod tests {
             (Var::Trace, "loud", &["HCLOUD_TRACE", "loud"]),
             (Var::Faults, "mayhem", &["HCLOUD_FAULTS", "mayhem"]),
             (Var::Audit, "paranoid", &["HCLOUD_AUDIT", "paranoid"]),
-            (Var::Queue, "stack", &["HCLOUD_QUEUE", "stack"]),
-            (Var::Queue, "Wheel", &["HCLOUD_QUEUE", "Wheel"]),
             (
                 Var::Strategy,
                 "bogus",
@@ -244,8 +307,9 @@ mod tests {
 
     #[test]
     fn unset_environment_is_all_defaults() {
-        let opts = EnvOpts::parse(None, None, None, None, None, None, None, None).unwrap();
-        assert_eq!(opts, EnvOpts::default());
-        assert_eq!(opts.strategy, None);
+        let ctx = ExperimentCtx::parse(None, None, None, None, None, None, None).unwrap();
+        assert_eq!(ctx, ExperimentCtx::default());
+        assert_eq!(ctx.master_seed, 42);
+        assert_eq!(ctx.strategy, None);
     }
 }

@@ -19,7 +19,8 @@ use hcloud_telemetry::FlightRecorder;
 use hcloud_workloads::{Scenario, ScenarioKind};
 
 use crate::artifacts;
-use crate::engine::{Engine, ExperimentCtx, ExperimentPlan, PlanTelemetry, RunSpec, RunTrace};
+use crate::engine::{Engine, ExperimentPlan, PlanTelemetry, RunSpec, RunTrace};
+use crate::env::ExperimentCtx;
 use crate::registry::{self, ExperimentInfo};
 
 /// Generates the paper scenario for `kind` under the ambient
@@ -221,7 +222,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcloud::StrategyKind;
+    use hcloud::{StrategyId, StrategyRef};
 
     fn fast_harness() -> Harness {
         Harness::with_ctx(ExperimentCtx::new(42).with_fast(true).with_jobs(2))
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn run_caches_identical_specs() {
         let mut h = fast_harness();
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::StaticReserved);
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::SR);
         let a = h.run(spec.clone()).makespan;
         assert_eq!(h.cache_misses(), 1);
         assert_eq!(h.cache_hits(), 0);
@@ -243,11 +244,7 @@ mod tests {
     #[test]
     fn plan_results_come_back_in_plan_order_and_hit_cache() {
         let mut h = fast_harness();
-        let strategies = [
-            StrategyKind::StaticReserved,
-            StrategyKind::OnDemandMixed,
-            StrategyKind::HybridMixed,
-        ];
+        let strategies = [StrategyId::SR, StrategyId::ODM, StrategyId::HM];
         let plan: ExperimentPlan = strategies
             .iter()
             .map(|&s| RunSpec::of(ScenarioKind::Static, s))
@@ -255,7 +252,7 @@ mod tests {
         let results = h.run_plan(plan.clone());
         assert_eq!(results.len(), 3);
         for (&s, r) in strategies.iter().zip(&results) {
-            assert_eq!(r.strategy, s);
+            assert_eq!(r.strategy, StrategyRef::from(s));
         }
         assert_eq!(h.cache_misses(), 3);
 
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn plan_dedups_identical_specs() {
         let mut h = fast_harness();
-        let spec = RunSpec::of(ScenarioKind::Static, StrategyKind::OnDemandFull);
+        let spec = RunSpec::of(ScenarioKind::Static, StrategyId::ODF);
         let results = h.run_plan(ExperimentPlan::from(vec![spec.clone(), spec]));
         assert_eq!(results.len(), 2);
         assert_eq!(h.cache_misses(), 1);

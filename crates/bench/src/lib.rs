@@ -49,10 +49,9 @@ pub mod registry;
 pub mod report;
 
 pub use engine::{
-    Engine, ExperimentCtx, ExperimentPlan, PlanOutcome, PlanTelemetry, RunSpec, RunTelemetry,
-    RunTrace,
+    Engine, ExperimentPlan, PlanOutcome, PlanTelemetry, RunSpec, RunTelemetry, RunTrace,
 };
-pub use env::EnvOpts;
+pub use env::ExperimentCtx;
 pub use harness::{paper_scenario, Harness};
 pub use registry::{ExperimentInfo, ExperimentKind};
 pub use report::{heatmap_row, sparkline, write_json, Table};

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hcloud::{RunConfig, StrategyKind};
+use hcloud::{RunConfig, StrategyId};
 use hcloud_bench::fleet::{fleet_config, run_digest};
 use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
 use hcloud_sim::rng::RngFactory;
@@ -17,17 +17,15 @@ use hcloud_workloads::Scenario;
 #[test]
 fn fleet_fast_digests_are_identical_across_worker_counts() {
     let scenario = Arc::new(Scenario::generate(fleet_config(true), &RngFactory::new(42)));
-    let config = RunConfig::new(StrategyKind::OnDemandMixed).with_retention_mult(0.05);
+    let config = RunConfig::new(StrategyId::ODM).with_retention_mult(0.05);
     let digests: Vec<Vec<String>> = [1usize, 4]
         .iter()
         .map(|&jobs| {
             let engine = Engine::new(ExperimentCtx::new(42).with_jobs(jobs));
             let mut plan = ExperimentPlan::new();
+            plan.push(RunSpec::on(scenario.clone(), StrategyId::ODM).config(config.clone()));
             plan.push(
-                RunSpec::on(scenario.clone(), StrategyKind::OnDemandMixed).config(config.clone()),
-            );
-            plan.push(
-                RunSpec::on(scenario.clone(), StrategyKind::OnDemandMixed)
+                RunSpec::on(scenario.clone(), StrategyId::ODM)
                     .config(config.clone())
                     .seed(43),
             );
@@ -105,7 +103,7 @@ fn tenanted_digests_are_identical_across_worker_counts() {
         .iter()
         .map(|&jobs| {
             let engine = Engine::new(ExperimentCtx::new(42).with_jobs(jobs));
-            let plan: ExperimentPlan = [StrategyKind::StaticReserved, StrategyKind::HybridMixed]
+            let plan: ExperimentPlan = [StrategyId::SR, StrategyId::HM]
                 .iter()
                 .map(|&s| RunSpec::on(scenario.clone(), s))
                 .collect();

@@ -1,23 +1,15 @@
-//! The trait port of the five paper strategies is byte-identical.
+//! The five paper strategies on the `ProvisioningStrategy` trait are
+//! pinned to the committed hot-path golden.
 //!
-//! PR 9 moved SR/OdF/OdM/HF/HM from `StrategyKind` match arms onto the
-//! [`ProvisioningStrategy`] trait behind the registry. These tests pin
-//! that port three ways:
-//!
-//! * registry-resolved handles reproduce the committed
-//!   `BENCH_hotpath_fast.json` digests exactly (the same digests CI
-//!   compares after running `perf_hotpath`);
-//! * enum dispatch and registry dispatch agree byte-for-byte across a
-//!   property-searched grid of strategy × fault plan × tenancy × seed;
-//! * so a behavioural regression in the port fails here, in-tree,
-//!   before it fails in CI.
+//! Registry-resolved handles must reproduce the committed
+//! `BENCH_hotpath_fast.json` digests exactly (the same digests CI
+//! compares after running `perf_hotpath`), so a behavioural regression
+//! in a strategy fails here, in-tree, before it fails in CI.
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{RunConfig, StrategyKind, StrategyRegistry};
+use hcloud::{RunConfig, StrategyRegistry};
 use hcloud_bench::fleet::run_digest;
-use hcloud_faults::FaultPlanId;
 use hcloud_sim::rng::RngFactory;
-use hcloud_tenancy::TenancyPlan;
 use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
 
 /// The committed fast-mode hot-path golden (the digests CI enforces).
@@ -44,7 +36,7 @@ fn registry_strategies_match_the_committed_hotpath_golden() {
         .get("strategies")
         .and_then(|v| v.as_array())
         .expect("golden has strategy rows");
-    assert_eq!(rows.len(), StrategyKind::ALL.len());
+    assert_eq!(rows.len(), StrategyRegistry::paper().len());
     for row in rows {
         let short = row
             .get("strategy")
@@ -73,61 +65,5 @@ fn registry_strategies_match_the_committed_hotpath_golden() {
             .and_then(|v| v.as_f64())
             .expect("instances");
         assert_eq!(r.usage_records.len() as f64, instances, "{short} instances");
-    }
-}
-
-/// A small tenanted-or-not scenario for the property search.
-fn property_scenario(seed: u64, tenants: usize) -> Scenario {
-    let scenario = Scenario::generate(
-        ScenarioConfig::scaled(ScenarioKind::HighVariability, 0.04, 10),
-        &RngFactory::new(seed),
-    );
-    if tenants == 0 {
-        return scenario;
-    }
-    let mut plan = TenancyPlan::zipf(tenants, 1.1, 48, 0.5);
-    let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
-    plan.assign_jobs(&ids, &mut RngFactory::new(seed).stream("tenant-assign"));
-    scenario.with_tenancy(plan)
-}
-
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-    /// Enum dispatch (the compat shim) and registry dispatch resolve to
-    /// byte-identical simulations for every paper strategy, under any
-    /// fault plan, with or without a tenancy gate, at any seed.
-    #[test]
-    fn enum_and_registry_dispatch_are_byte_identical(
-        seed in 0u64..1024,
-        strategy_idx in 0usize..StrategyKind::ALL.len(),
-        fault_idx in 0usize..FaultPlanId::ALL.len(),
-        tenants in 0usize..10,
-    ) {
-        use proptest::prelude::prop_assert_eq;
-
-        let kind = StrategyKind::ALL[strategy_idx];
-        let fault_plan = FaultPlanId::ALL[fault_idx];
-        let scenario = property_scenario(seed, tenants);
-        let via_enum = {
-            let config = RunConfig::new(kind).with_faults(fault_plan.plan());
-            let factory = RngFactory::new(seed);
-            run_scenario(&scenario, &config, &RunCtx::new(&factory))
-                .expect("no auditor attached")
-        };
-        let via_registry = {
-            let strategy = StrategyRegistry::builtin()
-                .get(kind.short_name())
-                .expect("paper strategy is registered");
-            let config = RunConfig::new(&strategy).with_faults(fault_plan.plan());
-            let factory = RngFactory::new(seed);
-            run_scenario(&scenario, &config, &RunCtx::new(&factory))
-                .expect("no auditor attached")
-        };
-        prop_assert_eq!(
-            run_digest(&via_enum),
-            run_digest(&via_registry),
-            "{}/{}/{} tenants: enum and registry dispatch diverged",
-            kind, fault_plan.name(), tenants
-        );
     }
 }

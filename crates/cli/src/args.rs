@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing (no CLI-framework dependency).
 
-use hcloud::{MappingPolicy, StrategyKind, StrategyRef};
+use hcloud::{MappingPolicy, StrategyId, StrategyRef};
 use hcloud_workloads::ScenarioKind;
 
 /// Top-level usage text.
@@ -125,7 +125,7 @@ pub struct TenantsOptions {
 impl Default for TenantsOptions {
     fn default() -> Self {
         TenantsOptions {
-            strategy: StrategyKind::HybridMixed.into(),
+            strategy: StrategyId::HM.into(),
             tenants: 50,
             scenario_file: None,
         }
@@ -189,7 +189,7 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            strategy: StrategyKind::HybridMixed.into(),
+            strategy: StrategyId::HM.into(),
             profiling: true,
             policy: MappingPolicy::Dynamic,
             spot_bid: None,
@@ -395,7 +395,7 @@ mod tests {
         };
         assert_eq!(common.kind, ScenarioKind::LowVariability);
         assert_eq!(common.seed, 7);
-        assert_eq!(run.strategy, StrategyKind::HybridFull);
+        assert_eq!(run.strategy, StrategyRef::from(StrategyId::HF));
         assert!(!run.profiling);
         assert_eq!(run.policy, MappingPolicy::QualityThreshold(0.5));
         assert_eq!(run.spot_bid, Some(0.5));
@@ -409,7 +409,7 @@ mod tests {
             panic!("expected sweep");
         };
         assert_eq!(s.knob, "retention");
-        assert_eq!(s.strategy, StrategyKind::OnDemandMixed);
+        assert_eq!(s.strategy, StrategyRef::from(StrategyId::ODM));
 
         let c = parse(&v(&["export", "--out", "x.json", "--scenario", "static"])).unwrap();
         let Command::Export(common, out) = c else {
@@ -451,7 +451,7 @@ mod tests {
             panic!("expected tenants");
         };
         assert_eq!(t.tenants, 200);
-        assert_eq!(t.strategy, StrategyKind::StaticReserved);
+        assert_eq!(t.strategy, StrategyRef::from(StrategyId::SR));
         assert_eq!(t.scenario_file.as_deref(), Some("x.json"));
         assert!(parse(&v(&["tenants", "--tenants", "0"])).is_err());
         assert!(parse(&v(&["tenants", "--tenants", "lots"])).is_err());

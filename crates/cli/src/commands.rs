@@ -6,7 +6,7 @@ use std::sync::Arc;
 use hcloud::config::SpotPolicy;
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, RunResult, StrategyKind,
+    RunConfig, RunResult, StrategyRegistry,
 };
 use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
@@ -770,12 +770,12 @@ fn compare(common: &Common) -> Result<(), String> {
     let mut ctx = ExperimentCtx::from_env()?;
     ctx.master_seed = common.seed;
     let engine = Engine::new(ctx);
-    let plan: ExperimentPlan = StrategyKind::ALL
+    let plan: ExperimentPlan = StrategyRegistry::paper()
         .iter()
-        .map(|&s| RunSpec::on(Arc::clone(&scenario), s))
+        .map(|s| RunSpec::on(Arc::clone(&scenario), s))
         .collect();
     let outcome = engine.run_plan(&plan);
-    for (&strategy, r) in StrategyKind::ALL.iter().zip(&outcome.results) {
+    for (strategy, r) in StrategyRegistry::paper().iter().zip(&outcome.results) {
         let lc = r.lc_latency_boxplot().map(|b| b.mean).unwrap_or(f64::NAN);
         println!(
             "{:<6} {:>8.1} {:>11.2}x {:>14.0} {:>10} {:>10.2}",

@@ -144,7 +144,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// The paper-default configuration for `strategy` — a
-    /// [`crate::StrategyKind`], a [`StrategyRef`], or anything else that
+    /// [`crate::StrategyId`], a [`StrategyRef`], or anything else that
     /// converts into one.
     pub fn new(strategy: impl Into<StrategyRef>) -> RunConfig {
         RunConfig {
@@ -315,7 +315,7 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::StrategyKind;
+    use crate::strategy::StrategyId;
     use hcloud_sim::rng::RngFactory;
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
 
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn sr_provisions_for_peak_plus_margin() {
         let s = scenario(ScenarioKind::Static);
-        let cores = RunConfig::new(StrategyKind::StaticReserved).reserved_cores(&s);
+        let cores = RunConfig::new(StrategyId::SR).reserved_cores(&s);
         // Peak ≈ 885, ×1.15 ≈ 1018.
         assert!((950..1100).contains(&cores), "SR cores {cores}");
     }
@@ -334,8 +334,8 @@ mod tests {
     #[test]
     fn unprofiled_sr_overprovisions_more() {
         let s = scenario(ScenarioKind::Static);
-        let with = RunConfig::new(StrategyKind::StaticReserved).reserved_cores(&s);
-        let without = RunConfig::new(StrategyKind::StaticReserved)
+        let with = RunConfig::new(StrategyId::SR).reserved_cores(&s);
+        let without = RunConfig::new(StrategyId::SR)
             .without_profiling()
             .reserved_cores(&s);
         assert!(without > with);
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn hybrids_provision_for_steady_minimum() {
         let s = scenario(ScenarioKind::LowVariability);
-        let cores = RunConfig::new(StrategyKind::HybridMixed).reserved_cores(&s);
+        let cores = RunConfig::new(StrategyId::HM).reserved_cores(&s);
         // The paper quotes ~600 cores for the low-variability scenario.
         assert!((550..680).contains(&cores), "hybrid cores {cores}");
     }
@@ -352,20 +352,14 @@ mod tests {
     #[test]
     fn on_demand_strategies_reserve_nothing() {
         let s = scenario(ScenarioKind::Static);
-        assert_eq!(
-            RunConfig::new(StrategyKind::OnDemandFull).reserved_cores(&s),
-            0
-        );
-        assert_eq!(
-            RunConfig::new(StrategyKind::OnDemandMixed).reserved_cores(&s),
-            0
-        );
+        assert_eq!(RunConfig::new(StrategyId::ODF).reserved_cores(&s), 0);
+        assert_eq!(RunConfig::new(StrategyId::ODM).reserved_cores(&s), 0);
     }
 
     #[test]
     fn override_wins() {
         let s = scenario(ScenarioKind::Static);
-        let mut c = RunConfig::new(StrategyKind::StaticReserved);
+        let mut c = RunConfig::new(StrategyId::SR);
         c.reserved_cores_override = Some(64);
         assert_eq!(c.reserved_cores(&s), 64);
     }
@@ -373,7 +367,7 @@ mod tests {
     #[test]
     fn high_variability_hybrid_reserves_little() {
         let s = scenario(ScenarioKind::HighVariability);
-        let cores = RunConfig::new(StrategyKind::HybridFull).reserved_cores(&s);
+        let cores = RunConfig::new(StrategyId::HF).reserved_cores(&s);
         // Min of the high-var curve is ~198-210.
         assert!((150..260).contains(&cores), "hybrid cores {cores}");
     }

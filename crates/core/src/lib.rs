@@ -28,7 +28,7 @@
 //! * [`result`] — aggregation of run outputs into the paper's metrics.
 //!
 //! ```no_run
-//! use hcloud::{RunConfig, runner::{run_scenario, RunCtx}, strategy::StrategyKind};
+//! use hcloud::{RunConfig, StrategyId, runner::{run_scenario, RunCtx}};
 //! use hcloud_sim::rng::RngFactory;
 //! use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
 //!
@@ -36,7 +36,7 @@
 //! let factory = RngFactory::new(42);
 //! let scenario = Scenario::generate(
 //!     ScenarioConfig::paper(ScenarioKind::HighVariability), &factory);
-//! let config = RunConfig::new(StrategyKind::HybridMixed);
+//! let config = RunConfig::new(StrategyId::HM);
 //! let result = run_scenario(&scenario, &config, &RunCtx::new(&factory))?;
 //! println!("mean batch perf: {:?}", result.batch_performance_boxplot());
 //! # Ok(())
@@ -60,5 +60,5 @@ pub use placement::{InstanceHandle, PlacementQuery, SearchPolicy};
 pub use result::{JobOutcome, RunResult};
 pub use strategy::{
     PlacementCtx, ProvisioningStrategy, ReservedSizingCtx, RetentionCtx, RetentionDecision,
-    StrategyId, StrategyKind, StrategyRef, StrategyRegistry, UnknownStrategy,
+    StrategyId, StrategyRef, StrategyRegistry, UnknownStrategy,
 };

@@ -394,7 +394,7 @@ mod tests {
 
     fn result(outcomes: Vec<JobOutcome>) -> RunResult {
         RunResult {
-            strategy: crate::strategy::StrategyKind::HybridMixed.into(),
+            strategy: crate::strategy::StrategyId::HM.into(),
             outcomes,
             usage_records: vec![],
             makespan: SimTime::from_secs(7200),

@@ -8,21 +8,17 @@
 //! optional [`Tracer`] and conservation [`Auditor`], so callers opt into
 //! instrumentation by attaching it rather than by picking a function.
 //!
-//! The event loop itself is batched: [`run_scenario_on`] drains every
-//! event sharing the current timestamp in one call against the
-//! [`EventQueueApi`] (the timing-wheel [`EventQueue`] by default, the
-//! retained [`hcloud_sim::event::HeapEventQueue`] for differential runs)
-//! and applies the batch as a slice, acknowledging each event as it is
-//! dispatched so queue-depth telemetry stays byte-identical to the old
-//! one-pop-per-iteration loop.
+//! The event loop itself is batched: [`run_scenario`] drains every event
+//! sharing the current timestamp in one call against the timing-wheel
+//! [`EventQueue`] and applies the batch as a slice, acknowledging each
+//! event as it is dispatched so queue-depth telemetry stays
+//! byte-identical to a one-pop-per-iteration loop.
 
 use hcloud_audit::Auditor;
 // Re-exported so downstream `main() -> Result<(), AuditViolation>`
 // wrappers need only the `hcloud` dependency.
 pub use hcloud_audit::AuditViolation;
-use hcloud_sim::event::{
-    EventQueue, EventQueueApi, EventSink, EventToken, HeapEventQueue, QueueKind,
-};
+use hcloud_sim::event::{EventQueue, EventSink};
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::SimTime;
 use hcloud_telemetry::{trace_event, ProfSpan, Profiler, TraceKind, Tracer};
@@ -110,21 +106,24 @@ impl<'a> RunCtx<'a> {
 /// disabled profiler every call is one branch away from the bare queue.
 ///
 /// [`drain_next_batch`]: ProfiledQueue::drain_next_batch
-struct ProfiledQueue<'p, Q> {
-    inner: Q,
+struct ProfiledQueue<'p> {
+    inner: EventQueue<Event>,
     profiler: &'p Profiler,
 }
 
-impl<Q: EventQueueApi<Event>> EventSink<Event> for ProfiledQueue<'_, Q> {
-    fn schedule(&mut self, at: SimTime, event: Event) -> EventToken {
+impl EventSink<Event> for ProfiledQueue<'_> {
+    fn schedule(&mut self, at: SimTime, event: Event) {
         let profiler = self.profiler;
         profiler.time(ProfSpan::EventPush, || self.inner.schedule(at, event))
     }
 }
 
-impl<'p, Q: EventQueueApi<Event>> ProfiledQueue<'p, Q> {
-    fn new(inner: Q, profiler: &'p Profiler) -> Self {
-        ProfiledQueue { inner, profiler }
+impl<'p> ProfiledQueue<'p> {
+    fn new(profiler: &'p Profiler) -> Self {
+        ProfiledQueue {
+            inner: EventQueue::new(),
+            profiler,
+        }
     }
 
     fn drain_next_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
@@ -162,36 +161,6 @@ pub fn run_scenario(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<RunResult, AuditViolation> {
-    run_scenario_on::<EventQueue<Event>>(scenario, config, ctx)
-}
-
-/// [`run_scenario`] with the event-queue implementation chosen at run
-/// time by a typed [`QueueKind`] — the dispatch point for the
-/// `HCLOUD_QUEUE` knob, so callers comparing the two implementations
-/// never hardcode queue selection.
-pub fn run_scenario_queued(
-    queue: QueueKind,
-    scenario: &Scenario,
-    config: &RunConfig,
-    ctx: &RunCtx,
-) -> Result<RunResult, AuditViolation> {
-    match queue {
-        QueueKind::Wheel => run_scenario_on::<EventQueue<Event>>(scenario, config, ctx),
-        QueueKind::Heap => run_scenario_on::<HeapEventQueue<Event>>(scenario, config, ctx),
-    }
-}
-
-/// [`run_scenario`] generic over the event-queue implementation.
-///
-/// The digest-identity benches run the same scenario on the timing-wheel
-/// [`EventQueue`] and the reference [`hcloud_sim::event::HeapEventQueue`]
-/// and assert byte-identical results and traces; everything else should
-/// call [`run_scenario`].
-pub fn run_scenario_on<Q: EventQueueApi<Event>>(
-    scenario: &Scenario,
-    config: &RunConfig,
-    ctx: &RunCtx,
-) -> Result<RunResult, AuditViolation> {
     let disabled_tracer = Tracer::disabled();
     let tracer = ctx.tracer.unwrap_or(&disabled_tracer);
     let disabled_auditor = Auditor::disabled();
@@ -206,7 +175,7 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
         auditor.clone(),
         profiler.clone(),
     );
-    let mut events = ProfiledQueue::new(Q::default(), profiler);
+    let mut events = ProfiledQueue::new(profiler);
     for job in scenario.jobs() {
         events.schedule(job.arrival, Event::Arrival(job.id));
     }
@@ -224,7 +193,7 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
         // Drain every event sharing the next timestamp and apply them as
         // a slice. Events scheduled *at* `t` during the batch (job starts
         // with zero spin-up, same-instant retention) land in the next
-        // batch at the same `t`, exactly where the heap loop would pop
+        // batch at the same `t`, exactly where a one-pop loop would pop
         // them.
         let Some(t) = events.drain_next_batch(&mut batch) else {
             break Ok(());
@@ -348,8 +317,7 @@ pub fn run_scenario_on<Q: EventQueueApi<Event>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::StrategyKind;
-    use hcloud_sim::event::HeapEventQueue;
+    use crate::strategy::{StrategyId, StrategyRegistry};
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
 
     /// A small scenario that runs in well under a second.
@@ -357,7 +325,7 @@ mod tests {
         Scenario::generate(ScenarioConfig::scaled(kind, 0.08, 20), &RngFactory::new(7))
     }
 
-    fn run(strategy: StrategyKind, kind: ScenarioKind) -> RunResult {
+    fn run(strategy: StrategyId, kind: ScenarioKind) -> RunResult {
         let scenario = small_scenario(kind);
         let config = RunConfig::new(strategy);
         let factory = RngFactory::new(7);
@@ -368,7 +336,7 @@ mod tests {
     fn all_jobs_complete_under_every_strategy() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
         let factory = RngFactory::new(7);
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             let config = RunConfig::new(strategy);
             let result = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
             assert_eq!(
@@ -381,8 +349,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
-        let b = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
+        let a = run(StrategyId::HM, ScenarioKind::HighVariability);
+        let b = run(StrategyId::HM, ScenarioKind::HighVariability);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.outcomes.len(), b.outcomes.len());
         let perf_a: Vec<f64> = a.outcomes.iter().map(|o| o.normalized_perf).collect();
@@ -391,49 +359,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_wheel_queues_produce_identical_runs() {
-        let scenario = small_scenario(ScenarioKind::HighVariability);
-        let factory = RngFactory::new(7);
-        for strategy in [StrategyKind::HybridMixed, StrategyKind::OnDemandMixed] {
-            let config = RunConfig::new(strategy);
-            let wheel_tracer = Tracer::enabled();
-            let heap_tracer = Tracer::enabled();
-            let wheel = run_scenario_on::<EventQueue<Event>>(
-                &scenario,
-                &config,
-                &RunCtx::new(&factory).with_tracer(&wheel_tracer),
-            )
-            .unwrap();
-            let heap = run_scenario_on::<HeapEventQueue<Event>>(
-                &scenario,
-                &config,
-                &RunCtx::new(&factory).with_tracer(&heap_tracer),
-            )
-            .unwrap();
-            assert_eq!(wheel, heap, "{strategy}: results diverge across queues");
-            // Compare traces by debug formatting: NaN fields (e.g. q90
-            // under strategies that never consult the quality monitor)
-            // are bitwise identical but `NaN != NaN` under PartialEq.
-            let wheel_trace = wheel_tracer.take();
-            let heap_trace = heap_tracer.take();
-            assert_eq!(
-                wheel_trace.len(),
-                heap_trace.len(),
-                "{strategy}: trace lengths diverge across queues"
-            );
-            for (a, b) in wheel_trace.iter().zip(&heap_trace) {
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{strategy}: traces diverge across queues"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sr_uses_no_on_demand() {
-        let r = run(StrategyKind::StaticReserved, ScenarioKind::Static);
+        let r = run(StrategyId::SR, ScenarioKind::Static);
         assert_eq!(r.counters.od_acquired, 0);
         assert!(r.usage_records.iter().all(|u| u.reserved));
         assert!(r.outcomes.iter().all(|o| o.on_reserved));
@@ -441,7 +368,7 @@ mod tests {
 
     #[test]
     fn on_demand_strategies_use_no_reserved() {
-        for s in [StrategyKind::OnDemandFull, StrategyKind::OnDemandMixed] {
+        for s in [StrategyId::ODF, StrategyId::ODM] {
             let r = run(s, ScenarioKind::Static);
             assert_eq!(r.reserved_cores, 0, "{s}");
             assert!(r.counters.od_acquired > 0, "{s}");
@@ -451,8 +378,8 @@ mod tests {
 
     #[test]
     fn odm_uses_smaller_instances_than_odf() {
-        let f = run(StrategyKind::OnDemandFull, ScenarioKind::Static);
-        let m = run(StrategyKind::OnDemandMixed, ScenarioKind::Static);
+        let f = run(StrategyId::ODF, ScenarioKind::Static);
+        let m = run(StrategyId::ODM, ScenarioKind::Static);
         let mean_vcpus = |r: &RunResult| {
             let od: Vec<u32> = r
                 .usage_records
@@ -467,7 +394,7 @@ mod tests {
 
     #[test]
     fn hybrids_use_both_kinds() {
-        let r = run(StrategyKind::HybridMixed, ScenarioKind::HighVariability);
+        let r = run(StrategyId::HM, ScenarioKind::HighVariability);
         assert!(r.reserved_cores > 0);
         assert!(r.counters.od_acquired > 0);
         let on_res = r.outcomes.iter().filter(|o| o.on_reserved).count();
@@ -476,8 +403,8 @@ mod tests {
 
     #[test]
     fn sr_outperforms_odm() {
-        let sr = run(StrategyKind::StaticReserved, ScenarioKind::HighVariability);
-        let odm = run(StrategyKind::OnDemandMixed, ScenarioKind::HighVariability);
+        let sr = run(StrategyId::SR, ScenarioKind::HighVariability);
+        let odm = run(StrategyId::ODM, ScenarioKind::HighVariability);
         assert!(
             sr.mean_normalized_perf() > odm.mean_normalized_perf(),
             "SR {} should beat OdM {}",
@@ -492,13 +419,13 @@ mod tests {
         let factory = RngFactory::new(7);
         let with = run_scenario(
             &scenario,
-            &RunConfig::new(StrategyKind::HybridMixed),
+            &RunConfig::new(StrategyId::HM),
             &RunCtx::new(&factory),
         )
         .unwrap();
         let without = run_scenario(
             &scenario,
-            &RunConfig::new(StrategyKind::HybridMixed).without_profiling(),
+            &RunConfig::new(StrategyId::HM).without_profiling(),
             &RunCtx::new(&factory),
         )
         .unwrap();
@@ -513,7 +440,7 @@ mod tests {
     #[test]
     fn tracing_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let tracer = Tracer::enabled();
@@ -544,7 +471,7 @@ mod tests {
     fn strict_audit_passes_on_clean_runs() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
         let factory = RngFactory::new(7);
-        for strategy in StrategyKind::ALL {
+        for strategy in StrategyRegistry::paper() {
             let config = RunConfig::new(strategy);
             let auditor = Auditor::new(hcloud_audit::AuditMode::Strict);
             let result = run_scenario(
@@ -564,7 +491,7 @@ mod tests {
     #[test]
     fn auditing_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let auditor = Auditor::new(hcloud_audit::AuditMode::Strict);
@@ -583,7 +510,7 @@ mod tests {
     #[test]
     fn profiling_does_not_perturb_results() {
         let scenario = small_scenario(ScenarioKind::HighVariability);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let profiler = Profiler::enabled();
@@ -636,7 +563,7 @@ mod tests {
         let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
         plan.assign_jobs(&ids, &mut RngFactory::new(7).stream("tenant-assign"));
         let scenario = scenario.with_tenancy(plan);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let factory = RngFactory::new(7);
         let plain = run_scenario(&scenario, &config, &RunCtx::new(&factory)).unwrap();
         let profiler = Profiler::enabled();
@@ -654,7 +581,7 @@ mod tests {
 
     #[test]
     fn makespan_covers_all_outcomes() {
-        let r = run(StrategyKind::OnDemandMixed, ScenarioKind::LowVariability);
+        let r = run(StrategyId::ODM, ScenarioKind::LowVariability);
         for o in &r.outcomes {
             assert!(o.finished <= r.makespan);
             assert!(o.started >= o.arrival);
@@ -664,7 +591,7 @@ mod tests {
 
     #[test]
     fn reserved_busy_never_exceeds_capacity() {
-        let r = run(StrategyKind::StaticReserved, ScenarioKind::Static);
+        let r = run(StrategyId::SR, ScenarioKind::Static);
         for &(_, v) in r.reserved_busy.points() {
             assert!(v >= -1e-9, "negative busy cores {v}");
             assert!(

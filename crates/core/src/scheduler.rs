@@ -2649,7 +2649,7 @@ impl<'a> Scheduler<'a> {
 mod tests {
     use super::*;
     use crate::config::SpotPolicy;
-    use crate::strategy::StrategyKind;
+    use crate::strategy::StrategyId;
     use hcloud_sim::event::EventQueue;
     use hcloud_tenancy::{TenancyPlan, TenantSpec};
     use hcloud_workloads::{ScenarioConfig, ScenarioKind};
@@ -2716,7 +2716,7 @@ mod tests {
     fn estimate_without_profiling_uses_user_sizing() {
         let jobs = vec![job(0, AppClass::HadoopSvm, 8, 300)];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let config = RunConfig::new(StrategyId::SR).without_profiling();
         let (mut sched, _) = scheduler(&scenario, &config);
         let est = sched.estimate(&scenario.jobs()[0]);
         assert_eq!(est.cores, scenario.jobs()[0].user_sized_cores());
@@ -2733,7 +2733,7 @@ mod tests {
             job(2, AppClass::SparkBatch, 4, 300),
         ];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::HybridMixed);
+        let config = RunConfig::new(StrategyId::HM);
         let (mut sched, _) = scheduler(&scenario, &config);
         for spec in scenario.jobs() {
             let _ = sched.estimate(spec);
@@ -2745,7 +2745,7 @@ mod tests {
     #[test]
     fn dedicated_itype_matches_dominant_sensitivity() {
         let scenario = scenario_of(vec![job(0, AppClass::SparkBatch, 4, 300)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (sched, _) = scheduler(&scenario, &config);
         // Memory-dominant estimate → memory-optimized family.
         let mem = JobEstimate {
@@ -2785,7 +2785,7 @@ mod tests {
             job(1, AppClass::SparkBatch, 8, 600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         config.reserved_cores_override = Some(16);
         config.internal_pressure_scale = 1.0;
         let run_pressure = |config: &RunConfig| {
@@ -2817,7 +2817,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 8, 3600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         // Force both jobs onto separate od pool instances.
@@ -2861,7 +2861,7 @@ mod tests {
             job(2, AppClass::SparkRealtime, 1, 5), // sensitive batch
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridMixed);
+        let mut config = RunConfig::new(StrategyId::HM);
         config.spot = Some(SpotPolicy {
             bid_multiplier: 0.6,
             max_quality: 0.99,
@@ -2881,7 +2881,7 @@ mod tests {
             "sensitive batch never rides spot"
         );
         // OdM (non-hybrid) never uses spot even for tolerant jobs.
-        let mut odm = RunConfig::new(StrategyKind::OnDemandMixed);
+        let mut odm = RunConfig::new(StrategyId::ODM);
         odm.spot = config.spot;
         let (mut sched, _) = scheduler(&scenario, &odm);
         let e0 = sched.estimate(&scenario.jobs()[0]);
@@ -2900,7 +2900,7 @@ mod tests {
             job(2, AppClass::Memcached, 2, 600),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::StaticReserved);
+        let mut config = RunConfig::new(StrategyId::SR);
         config.reserved_cores_override = Some(16);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
@@ -2927,7 +2927,7 @@ mod tests {
     #[test]
     fn foreign_job_id_fails_typed() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::StaticReserved);
+        let config = RunConfig::new(StrategyId::SR);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let err = sched
             .on_arrival(JobId(999), SimTime::ZERO, &mut events)
@@ -2949,7 +2949,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 2, 100),
         ];
         let scenario = scenario_of(jobs);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
             .on_arrival(JobId(0), SimTime::ZERO, &mut events)
@@ -2971,7 +2971,7 @@ mod tests {
     #[test]
     fn released_instance_handles_turn_stale() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, _) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(2), SimTime::ZERO);
         assert!(sched.live_od.contains(&h));
@@ -2988,7 +2988,7 @@ mod tests {
     #[test]
     fn idle_index_tracks_retained_instances() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed).without_profiling();
+        let config = RunConfig::new(StrategyId::ODM).without_profiling();
         let (mut sched, mut events) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(2), SimTime::ZERO);
         assert!(sched.idle_buckets.is_empty());
@@ -3046,7 +3046,7 @@ mod tests {
 
             const SIZES: [u32; 4] = [2, 4, 8, 16];
             let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-            let config = RunConfig::new(StrategyKind::OnDemandMixed).without_profiling();
+            let config = RunConfig::new(StrategyId::ODM).without_profiling();
             let (mut sched, mut events) = scheduler(&scenario, &config);
             // Reference model mirroring the instance lifecycle: fresh
             // acquisitions are empty but unretained, `handle_idle_od`
@@ -3143,7 +3143,7 @@ mod tests {
     #[test]
     fn double_detach_is_a_typed_accounting_error() {
         let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 100)]);
-        let config = RunConfig::new(StrategyKind::OnDemandMixed);
+        let config = RunConfig::new(StrategyId::ODM);
         let (mut sched, _) = scheduler(&scenario, &config);
         let h = sched.acquire(InstanceType::standard(4), SimTime::ZERO);
         let key = fake_slot(&mut sched, h, 2, SimTime::ZERO);
@@ -3183,7 +3183,7 @@ mod tests {
             job(1, AppClass::HadoopSvm, 2, 10_000),
         ];
         let scenario = scenario_of(jobs);
-        let mut config = RunConfig::new(StrategyKind::HybridFull);
+        let mut config = RunConfig::new(StrategyId::HF);
         config.reserved_cores_override = Some(16);
         // Always prefer reserved, so job 1 queues whenever job 0 holds
         // the whole reserved pool.
@@ -3261,7 +3261,7 @@ mod tests {
     #[test]
     fn tenancy_gate_defers_and_finish_drains() {
         let scenario = tenanted_pair();
-        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let mut config = RunConfig::new(StrategyId::SR).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
         sched
@@ -3312,7 +3312,7 @@ mod tests {
         plan.assign(0, 1);
         plan.assign(1, 0);
         let scenario = scenario_of(jobs).with_tenancy(plan);
-        let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+        let mut config = RunConfig::new(StrategyId::SR).without_profiling();
         config.reserved_cores_override = Some(32);
         let (mut sched, mut events) = scheduler(&scenario, &config);
 

@@ -6,8 +6,9 @@
 //! decide by matching on a closed enum — reserved sizing, on-demand
 //! acquisition and shape, idle-instance retention, soft-limit
 //! adaptation — is a trait hook, so strategies beyond the paper's five
-//! plug in without touching the scheduler. [`StrategyKind`] survives as
-//! a thin compatibility shim over the registry for one release.
+//! plug in without touching the scheduler. Callers name a builtin
+//! through the [`StrategyId`] constants (`StrategyId::HM`) and iterate
+//! the paper's five with [`StrategyRegistry::paper`].
 //!
 //! | | SR | OdF | OdM | HF | HM | RA | QC |
 //! |---|---|---|---|---|---|---|---|
@@ -38,88 +39,6 @@ use hcloud_sim::{SimDuration, SimTime};
 
 use crate::dynamic::DynamicLimits;
 use crate::mapping::{MappingContext, MappingPolicy, Placement};
-
-/// The paper's five strategies, kept as a compatibility shim: each
-/// variant maps onto the builtin registry entry with the same id, and
-/// converts into a [`StrategyRef`] wherever one is expected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrategyKind {
-    /// Statically reserved: provision reserved full servers for peak load
-    /// (plus overprovisioning) upfront; never acquire on-demand.
-    StaticReserved,
-    /// Fully on-demand, full servers only (OdF).
-    OnDemandFull,
-    /// Fully on-demand, mixed instance sizes (OdM).
-    OnDemandMixed,
-    /// Hybrid: reserved for the steady-state minimum, on-demand full
-    /// servers for overflow (HF).
-    HybridFull,
-    /// Hybrid: reserved for the steady-state minimum, mixed-size
-    /// on-demand for overflow (HM).
-    HybridMixed,
-}
-
-impl StrategyKind {
-    /// All five strategies, in the paper's presentation order.
-    pub const ALL: [StrategyKind; 5] = [
-        StrategyKind::StaticReserved,
-        StrategyKind::OnDemandFull,
-        StrategyKind::OnDemandMixed,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
-    ];
-
-    /// The stable registry id.
-    pub fn id(self) -> &'static str {
-        match self {
-            StrategyKind::StaticReserved => "static-reserved",
-            StrategyKind::OnDemandFull => "on-demand-full",
-            StrategyKind::OnDemandMixed => "on-demand-mixed",
-            StrategyKind::HybridFull => "hybrid-full",
-            StrategyKind::HybridMixed => "hybrid-mixed",
-        }
-    }
-
-    /// Short name as used in the paper's figures.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            StrategyKind::StaticReserved => "SR",
-            StrategyKind::OnDemandFull => "OdF",
-            StrategyKind::OnDemandMixed => "OdM",
-            StrategyKind::HybridFull => "HF",
-            StrategyKind::HybridMixed => "HM",
-        }
-    }
-
-    /// Whether the strategy provisions reserved resources (Table 3 row 1).
-    pub fn uses_reserved(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::StaticReserved | StrategyKind::HybridFull | StrategyKind::HybridMixed
-        )
-    }
-
-    /// Whether the strategy acquires on-demand resources (Table 3 row 2).
-    pub fn uses_on_demand(self) -> bool {
-        !matches!(self, StrategyKind::StaticReserved)
-    }
-
-    /// Whether on-demand acquisitions are restricted to full servers.
-    pub fn on_demand_full_only(self) -> bool {
-        matches!(self, StrategyKind::OnDemandFull | StrategyKind::HybridFull)
-    }
-
-    /// Whether this is one of the two hybrid strategies.
-    pub fn is_hybrid(self) -> bool {
-        matches!(self, StrategyKind::HybridFull | StrategyKind::HybridMixed)
-    }
-}
-
-impl fmt::Display for StrategyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.short_name())
-    }
-}
 
 // ----------------------------------------------------------------------
 // Decision contexts
@@ -332,15 +251,6 @@ impl StrategyRef {
     pub fn fresh_run(&self) -> Box<dyn ProvisioningStrategy> {
         self.0.fresh_run()
     }
-
-    /// The [`StrategyKind`] this strategy shims for, when it is one of
-    /// the paper's five.
-    pub fn kind(&self) -> Option<StrategyKind> {
-        StrategyKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.id() == self.id())
-    }
 }
 
 impl fmt::Debug for StrategyRef {
@@ -366,24 +276,6 @@ impl Eq for StrategyRef {}
 impl std::hash::Hash for StrategyRef {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.id().hash(state);
-    }
-}
-
-impl PartialEq<StrategyKind> for StrategyRef {
-    fn eq(&self, other: &StrategyKind) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl PartialEq<StrategyRef> for StrategyKind {
-    fn eq(&self, other: &StrategyRef) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl From<StrategyKind> for StrategyRef {
-    fn from(kind: StrategyKind) -> StrategyRef {
-        StrategyRef::new(PaperStrategy(kind))
     }
 }
 
@@ -433,15 +325,36 @@ impl FromStr for StrategyRef {
     }
 }
 
-/// A `Copy` handle onto a builtin strategy: the interned registry id.
-/// Exists so `Copy` carriers (the env/experiment contexts) can name a
-/// strategy without holding a [`StrategyRef`].
+/// A `Copy` name for a builtin strategy: the interned registry id.
+///
+/// The constants name each builtin; anything expecting a
+/// [`StrategyRef`] accepts them through `Into`
+/// (`RunConfig::new(StrategyId::HM)`). Displays as the registry id, so
+/// resolve to a [`StrategyRef`] for the short figure label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StrategyId(&'static str);
 
 impl StrategyId {
+    /// Statically reserved (SR): reserved full servers for peak load
+    /// plus overprovisioning; never acquires on-demand.
+    pub const SR: StrategyId = StrategyId("static-reserved");
+    /// Fully on-demand, full servers only (OdF).
+    pub const ODF: StrategyId = StrategyId("on-demand-full");
+    /// Fully on-demand, mixed instance sizes (OdM).
+    pub const ODM: StrategyId = StrategyId("on-demand-mixed");
+    /// Hybrid: reserved for the steady-state minimum, on-demand full
+    /// servers for overflow (HF).
+    pub const HF: StrategyId = StrategyId("hybrid-full");
+    /// Hybrid: reserved for the steady-state minimum, mixed-size
+    /// on-demand for overflow (HM).
+    pub const HM: StrategyId = StrategyId("hybrid-mixed");
+    /// Blocking-threshold reservation scaling (RA; arXiv 2005.13744).
+    pub const RA: StrategyId = StrategyId("reservation-autoscale");
+    /// M\[x\]/G/s capacity planning (QC; arXiv 2209.08820).
+    pub const QC: StrategyId = StrategyId("queueing-capacity");
+
     /// The interned id string.
-    pub fn as_str(self) -> &'static str {
+    pub const fn as_str(self) -> &'static str {
         self.0
     }
 
@@ -467,6 +380,12 @@ impl FromStr for StrategyId {
     }
 }
 
+impl From<StrategyId> for StrategyRef {
+    fn from(id: StrategyId) -> StrategyRef {
+        id.resolve()
+    }
+}
+
 // ----------------------------------------------------------------------
 // Registry
 // ----------------------------------------------------------------------
@@ -488,11 +407,12 @@ impl StrategyRegistry {
         StrategyRegistry::default()
     }
 
-    /// A registry holding every builtin strategy.
+    /// A registry holding every builtin strategy: the paper's five
+    /// first, in presentation order, then RA and QC.
     pub fn with_builtins() -> StrategyRegistry {
         let mut r = StrategyRegistry::empty();
-        for kind in StrategyKind::ALL {
-            r.register(StrategyRef::new(PaperStrategy(kind)));
+        for paper in PaperStrategy::ALL {
+            r.register(StrategyRef::new(paper));
         }
         r.register(StrategyRef::new(ReservationAutoscale::default()));
         r.register(StrategyRef::new(QueueingCapacity::default()));
@@ -503,6 +423,12 @@ impl StrategyRegistry {
     pub fn builtin() -> &'static StrategyRegistry {
         static BUILTIN: OnceLock<StrategyRegistry> = OnceLock::new();
         BUILTIN.get_or_init(StrategyRegistry::with_builtins)
+    }
+
+    /// The paper's five strategies in presentation order: SR, OdF, OdM,
+    /// HF, HM.
+    pub fn paper() -> &'static [StrategyRef] {
+        &StrategyRegistry::builtin().all()[..PaperStrategy::ALL.len()]
     }
 
     /// Registers a strategy, replacing any entry with the same id.
@@ -539,46 +465,82 @@ impl StrategyRegistry {
 // The paper's five strategies
 // ----------------------------------------------------------------------
 
-/// One of the paper's five strategies, on the trait (Tables 1 and 3).
-#[derive(Debug, Clone, Copy)]
-struct PaperStrategy(StrategyKind);
+/// The paper's five strategies (Tables 1 and 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PaperStrategy {
+    StaticReserved,
+    OnDemandFull,
+    OnDemandMixed,
+    HybridFull,
+    HybridMixed,
+}
+
+impl PaperStrategy {
+    /// In the paper's presentation order (the registry's first five).
+    const ALL: [PaperStrategy; 5] = [
+        PaperStrategy::StaticReserved,
+        PaperStrategy::OnDemandFull,
+        PaperStrategy::OnDemandMixed,
+        PaperStrategy::HybridFull,
+        PaperStrategy::HybridMixed,
+    ];
+}
 
 impl ProvisioningStrategy for PaperStrategy {
     fn id(&self) -> &'static str {
-        self.0.id()
+        match self {
+            PaperStrategy::StaticReserved => StrategyId::SR,
+            PaperStrategy::OnDemandFull => StrategyId::ODF,
+            PaperStrategy::OnDemandMixed => StrategyId::ODM,
+            PaperStrategy::HybridFull => StrategyId::HF,
+            PaperStrategy::HybridMixed => StrategyId::HM,
+        }
+        .as_str()
     }
 
     fn short_name(&self) -> &'static str {
-        self.0.short_name()
+        match self {
+            PaperStrategy::StaticReserved => "SR",
+            PaperStrategy::OnDemandFull => "OdF",
+            PaperStrategy::OnDemandMixed => "OdM",
+            PaperStrategy::HybridFull => "HF",
+            PaperStrategy::HybridMixed => "HM",
+        }
     }
 
     fn uses_reserved(&self) -> bool {
-        self.0.uses_reserved()
+        matches!(
+            self,
+            PaperStrategy::StaticReserved | PaperStrategy::HybridFull | PaperStrategy::HybridMixed
+        )
     }
 
     fn uses_on_demand(&self) -> bool {
-        self.0.uses_on_demand()
+        *self != PaperStrategy::StaticReserved
     }
 
     fn on_demand_full_only(&self) -> bool {
-        self.0.on_demand_full_only()
+        matches!(
+            self,
+            PaperStrategy::OnDemandFull | PaperStrategy::HybridFull
+        )
     }
 
     fn is_hybrid(&self) -> bool {
-        self.0.is_hybrid()
+        matches!(self, PaperStrategy::HybridFull | PaperStrategy::HybridMixed)
     }
 
     fn profiles_noisily(&self) -> bool {
         // Profiling on small shared instances (the only kind OdM holds)
         // yields noisier signals (Section 3.3).
-        self.0 == StrategyKind::OnDemandMixed
+        *self == PaperStrategy::OnDemandMixed
     }
 
     fn reserved_cores(&self, ctx: &ReservedSizingCtx) -> u32 {
-        match self.0 {
+        match self {
             // SR: peak × (1 + overprovisioning), the margin widening
             // without profiling info (Sections 3.1, 3.3).
-            StrategyKind::StaticReserved => {
+            PaperStrategy::StaticReserved => {
                 let over = if ctx.profiling {
                     ctx.overprovision
                 } else {
@@ -587,16 +549,16 @@ impl ProvisioningStrategy for PaperStrategy {
                 (ctx.peak_cores * (1.0 + over)).ceil() as u32
             }
             // Hybrids: the steady-state minimum (Section 4.1).
-            StrategyKind::HybridFull | StrategyKind::HybridMixed => ctx.min_cores.ceil() as u32,
-            StrategyKind::OnDemandFull | StrategyKind::OnDemandMixed => 0,
+            PaperStrategy::HybridFull | PaperStrategy::HybridMixed => ctx.min_cores.ceil() as u32,
+            PaperStrategy::OnDemandFull | PaperStrategy::OnDemandMixed => 0,
         }
     }
 
     fn place(&mut self, ctx: &PlacementCtx<'_>, rng: &mut SimRng) -> Placement {
-        match self.0 {
-            StrategyKind::StaticReserved => Placement::Reserved,
-            StrategyKind::OnDemandFull | StrategyKind::OnDemandMixed => Placement::OnDemand,
-            StrategyKind::HybridFull | StrategyKind::HybridMixed => {
+        match self {
+            PaperStrategy::StaticReserved => Placement::Reserved,
+            PaperStrategy::OnDemandFull | PaperStrategy::OnDemandMixed => Placement::OnDemand,
+            PaperStrategy::HybridFull | PaperStrategy::HybridMixed => {
                 ctx.policy.decide(&ctx.mapping, rng)
             }
         }
@@ -653,7 +615,7 @@ impl ReservationAutoscale {
 
 impl ProvisioningStrategy for ReservationAutoscale {
     fn id(&self) -> &'static str {
-        "reservation-autoscale"
+        StrategyId::RA.as_str()
     }
 
     fn short_name(&self) -> &'static str {
@@ -766,7 +728,7 @@ impl Default for QueueingCapacity {
 
 impl ProvisioningStrategy for QueueingCapacity {
     fn id(&self) -> &'static str {
-        "queueing-capacity"
+        StrategyId::QC.as_str()
     }
 
     fn short_name(&self) -> &'static str {
@@ -814,53 +776,25 @@ mod tests {
     use hcloud_cloud::InstanceType;
 
     #[test]
-    fn table3_matrix() {
-        use StrategyKind::*;
-        assert!(StaticReserved.uses_reserved() && !StaticReserved.uses_on_demand());
-        assert!(!OnDemandFull.uses_reserved() && OnDemandFull.uses_on_demand());
-        assert!(!OnDemandMixed.uses_reserved() && OnDemandMixed.uses_on_demand());
-        assert!(HybridFull.uses_reserved() && HybridFull.uses_on_demand());
-        assert!(HybridMixed.uses_reserved() && HybridMixed.uses_on_demand());
-    }
-
-    #[test]
-    fn full_only_flags() {
-        use StrategyKind::*;
-        assert!(OnDemandFull.on_demand_full_only());
-        assert!(HybridFull.on_demand_full_only());
-        assert!(!OnDemandMixed.on_demand_full_only());
-        assert!(!HybridMixed.on_demand_full_only());
-    }
-
-    #[test]
-    fn names_match_paper() {
-        let names: Vec<&str> = StrategyKind::ALL.iter().map(|s| s.short_name()).collect();
-        assert_eq!(names, vec!["SR", "OdF", "OdM", "HF", "HM"]);
-    }
-
-    #[test]
-    fn hybrids_identified() {
-        assert!(StrategyKind::HybridFull.is_hybrid());
-        assert!(!StrategyKind::StaticReserved.is_hybrid());
-    }
-
-    #[test]
-    fn trait_flags_match_enum_flags() {
-        for kind in StrategyKind::ALL {
-            let r = StrategyRef::from(kind);
-            assert_eq!(r.uses_reserved(), kind.uses_reserved(), "{kind}");
-            assert_eq!(r.uses_on_demand(), kind.uses_on_demand(), "{kind}");
-            assert_eq!(
-                r.on_demand_full_only(),
-                kind.on_demand_full_only(),
-                "{kind}"
-            );
-            assert_eq!(r.is_hybrid(), kind.is_hybrid(), "{kind}");
-            assert_eq!(r.profiles_noisily(), kind == StrategyKind::OnDemandMixed);
-            assert_eq!(r.short_name(), kind.short_name());
-            assert_eq!(r.kind(), Some(kind));
-            assert_eq!(r, kind);
-            assert_eq!(kind, r);
+    fn paper_strategies_match_table3() {
+        // (short name, reserved, on-demand, full-only, hybrid, noisy).
+        let table = [
+            ("SR", true, false, false, false, false),
+            ("OdF", false, true, true, false, false),
+            ("OdM", false, true, false, false, true),
+            ("HF", true, true, true, true, false),
+            ("HM", true, true, false, true, false),
+        ];
+        let paper = StrategyRegistry::paper();
+        assert_eq!(paper.len(), table.len());
+        for (s, &(name, reserved, on_demand, full_only, hybrid, noisy)) in paper.iter().zip(&table)
+        {
+            assert_eq!(s.short_name(), name);
+            assert_eq!(s.uses_reserved(), reserved, "{name}");
+            assert_eq!(s.uses_on_demand(), on_demand, "{name}");
+            assert_eq!(s.on_demand_full_only(), full_only, "{name}");
+            assert_eq!(s.is_hybrid(), hybrid, "{name}");
+            assert_eq!(s.profiles_noisily(), noisy, "{name}");
         }
     }
 
@@ -879,6 +813,19 @@ mod tests {
                 "queueing-capacity",
             ]
         );
+        let named = [
+            StrategyId::SR,
+            StrategyId::ODF,
+            StrategyId::ODM,
+            StrategyId::HF,
+            StrategyId::HM,
+            StrategyId::RA,
+            StrategyId::QC,
+        ];
+        assert_eq!(named.map(StrategyId::as_str).to_vec(), r.ids());
+        for (id, s) in named.into_iter().zip(r.all()) {
+            assert_eq!(&StrategyRef::from(id), s);
+        }
     }
 
     #[test]
@@ -929,7 +876,7 @@ mod tests {
             assert!(!s.on_demand_full_only(), "{id}");
             assert!(s.is_hybrid(), "{id}");
             assert!(!s.profiles_noisily(), "{id}");
-            assert!(s.kind().is_none(), "{id}");
+            assert!(!StrategyRegistry::paper().contains(&s), "{id}");
         }
     }
 
@@ -942,7 +889,7 @@ mod tests {
             overprovision: 0.15,
             overprovision_unprofiled: 0.30,
         };
-        let sr = StrategyRef::from(StrategyKind::StaticReserved);
+        let sr = StrategyRef::from(StrategyId::SR);
         assert_eq!(sr.reserved_cores(&ctx), (885.0f64 * 1.15).ceil() as u32);
         let unprofiled = ReservedSizingCtx {
             profiling: false,
@@ -952,14 +899,8 @@ mod tests {
             sr.reserved_cores(&unprofiled),
             (885.0f64 * 1.30).ceil() as u32
         );
-        assert_eq!(
-            StrategyRef::from(StrategyKind::HybridMixed).reserved_cores(&ctx),
-            603
-        );
-        assert_eq!(
-            StrategyRef::from(StrategyKind::OnDemandMixed).reserved_cores(&ctx),
-            0
-        );
+        assert_eq!(StrategyRef::from(StrategyId::HM).reserved_cores(&ctx), 603);
+        assert_eq!(StrategyRef::from(StrategyId::ODM).reserved_cores(&ctx), 0);
         // The new strategies size like the hybrids.
         assert_eq!(
             StrategyRegistry::builtin()
@@ -1086,7 +1027,7 @@ mod tests {
 
     #[test]
     fn default_retention_matches_paper_rules() {
-        let sr = StrategyRef::from(StrategyKind::HybridMixed);
+        let sr = StrategyRef::from(StrategyId::HM);
         let sr = sr.fresh_run();
         let base = RetentionCtx {
             spin_up: SimDuration::from_secs(20),

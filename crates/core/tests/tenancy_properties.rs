@@ -10,7 +10,7 @@
 //! drop-count, so the fault plans are part of the search space.
 
 use hcloud::runner::{run_scenario, RunCtx};
-use hcloud::{RunConfig, StrategyKind};
+use hcloud::{RunConfig, StrategyRegistry};
 use hcloud_audit::{AuditMode, Auditor};
 use hcloud_faults::FaultPlanId;
 use hcloud_sim::rng::RngFactory;
@@ -35,13 +35,13 @@ proptest::proptest! {
     #[test]
     fn tenant_ledgers_reconcile_with_globals(
         seed in 0u64..1024,
-        strategy_idx in 0usize..StrategyKind::ALL.len(),
+        strategy_idx in 0usize..StrategyRegistry::paper().len(),
         fault_idx in 0usize..FaultPlanId::ALL.len(),
         tenants in 1usize..10,
     ) {
         use proptest::prelude::{prop_assert, prop_assert_eq};
 
-        let strategy = StrategyKind::ALL[strategy_idx];
+        let strategy = &StrategyRegistry::paper()[strategy_idx];
         let fault_plan = FaultPlanId::ALL[fault_idx];
         let scenario = tenanted_scenario(seed, tenants);
         let config = RunConfig::new(strategy).with_faults(fault_plan.plan());

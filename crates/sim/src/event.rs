@@ -1,24 +1,18 @@
 //! Deterministic discrete-event queue.
 //!
-//! The HCloud scenario runner advances simulation time by repeatedly popping
-//! the earliest pending event. Determinism requires a *stable* order among
-//! events scheduled for the same instant: both queue implementations break
-//! ties by insertion sequence number, so two runs with identical inputs pop
-//! events in identical order.
+//! The HCloud scenario runner advances simulation time by repeatedly
+//! draining the earliest pending events. Determinism requires a *stable*
+//! order among events scheduled for the same instant: the queue breaks
+//! ties by insertion sequence number, so two runs with identical inputs
+//! pop events in identical order.
 //!
-//! Two interchangeable implementations live here, both behind
-//! [`EventQueueApi`]:
-//!
-//! * [`EventQueue`] — the default: a hierarchical timing wheel
-//!   ([`LEVELS`] levels × [`SLOTS`] slots of [`LEVEL_BITS`]-bit digits over
-//!   the microsecond timestamp). Scheduling and serving are O(1) amortized
-//!   regardless of how deep the queue gets, which is what lets fleet-scale
-//!   scenarios (10⁵ instances, 10⁶ jobs) run without the `O(log n)` heap
-//!   churn dominating.
-//! * [`HeapEventQueue`] — the retained `BinaryHeap` reference
-//!   implementation. The property suite runs both against the same stable
-//!   sort reference, and a differential test drives them in lockstep over
-//!   random schedule/pop/cancel interleavings.
+//! [`EventQueue`] is a hierarchical timing wheel ([`LEVELS`] levels ×
+//! [`SLOTS`] slots of [`LEVEL_BITS`]-bit digits over the microsecond
+//! timestamp). Scheduling and serving are O(1) amortized regardless of
+//! how deep the queue gets, which is what lets fleet-scale scenarios
+//! (10⁵ instances, 10⁶ jobs) run without `O(log n)` heap churn
+//! dominating. Its unit and property tests check it against a
+//! test-only `BinaryHeap` reference model.
 //!
 //! An event lives at the level of the highest [`LEVEL_BITS`]-bit digit in
 //! which its timestamp differs from the current clock, in the slot named by
@@ -28,10 +22,9 @@
 //! wholesale; higher-level buckets cascade — their earliest timestamp
 //! becomes the new clock and every other member re-enters a lower level.
 //! Ties are restored by sorting each served bucket by sequence number, so
-//! the pop order is bit-identical to the heap's.
+//! the pop order is exactly a stable sort by timestamp.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -44,112 +37,17 @@ pub const SLOTS: usize = 1 << LEVEL_BITS;
 pub const LEVELS: usize = 11;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 
-/// Which event-queue implementation a run uses: the timing-wheel
-/// [`EventQueue`] (default) or the reference [`HeapEventQueue`]. Parsed
-/// from `HCLOUD_QUEUE` with the same loud-failure contract as the other
-/// `HCLOUD_*` knobs; the two implementations are digest-identical, so
-/// the knob trades only wall clock, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// The hierarchical timing wheel (default).
-    Wheel,
-    /// The retained `BinaryHeap` reference implementation.
-    Heap,
-}
-
-impl QueueKind {
-    /// Both implementations, wheel first (comparison benches iterate
-    /// this).
-    pub const ALL: [QueueKind; 2] = [QueueKind::Wheel, QueueKind::Heap];
-
-    /// Stable display name, also the accepted `HCLOUD_QUEUE` spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Wheel => "wheel",
-            QueueKind::Heap => "heap",
-        }
-    }
-
-    /// Parses an `HCLOUD_QUEUE` value: `wheel` (default when unset) or
-    /// `heap`. Anything else is a hard error naming the variable, the
-    /// offending value, and what was expected.
-    pub fn parse(raw: Option<&str>) -> Result<Self, String> {
-        match raw {
-            None => Ok(QueueKind::Wheel),
-            Some("wheel") => Ok(QueueKind::Wheel),
-            Some("heap") => Ok(QueueKind::Heap),
-            Some(s) => Err(format!(
-                "invalid HCLOUD_QUEUE {s:?}: expected wheel (timing wheel, default) or heap"
-            )),
-        }
-    }
-}
-
-/// A handle to a scheduled event, returned by [`EventSink::schedule`] and
-/// accepted by [`EventQueueApi::cancel`]. Tokens are unique per queue for
-/// the queue's whole lifetime, so a token for an already-served (or
-/// already-cancelled) event is simply not found — cancellation can never
-/// hit the wrong event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventToken(u64);
-
 /// The write half of an event queue: anything that can accept scheduled
 /// events. Scheduler hot paths take `&mut impl EventSink<Event>` so the
-/// runner can drive them from either queue implementation.
+/// runner can wrap the queue (profiling) and unit tests can pass a bare
+/// [`EventQueue`].
 pub trait EventSink<E> {
-    /// Schedules `event` at instant `at`; returns a token for [`cancel`].
+    /// Schedules `event` at instant `at`.
     ///
     /// Scheduling in the past is a logic error in the caller; in debug
     /// builds it panics, in release builds the event fires "now" (at the
     /// current clock) to preserve monotonicity.
-    ///
-    /// [`cancel`]: EventQueueApi::cancel
-    fn schedule(&mut self, at: SimTime, event: E) -> EventToken;
-}
-
-/// The full event-queue contract shared by [`EventQueue`] (timing wheel)
-/// and [`HeapEventQueue`] (reference heap). The runner is generic over
-/// this trait, which is how the digest-identity benches prove the two
-/// implementations byte-identical end to end.
-pub trait EventQueueApi<E>: EventSink<E> + Default {
-    /// The current simulation instant: the timestamp of the most recently
-    /// popped event (or zero before any pop).
-    fn now(&self) -> SimTime;
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp. Returns `None` when the queue is empty.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-    /// Removes a pending event by token. Returns `false` when the token's
-    /// event already fired or was already cancelled. O(n) worst case —
-    /// cancellation is an off-hot-path operation.
-    fn cancel(&mut self, token: EventToken) -> bool;
-    /// Drains every event due at the earliest pending timestamp into
-    /// `buf`, in (time, insertion) order, advancing the clock to that
-    /// timestamp. Returns the batch timestamp, or `None` when empty.
-    ///
-    /// Drained events count toward [`len`] until [`ack`]ed, so depth
-    /// telemetry matches a pop-one-dispatch-one loop exactly.
-    ///
-    /// [`len`]: EventQueueApi::len
-    /// [`ack`]: EventQueueApi::ack
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime>;
-    /// Acknowledges one drained event as dispatched (see
-    /// [`drain_next_batch`]).
-    ///
-    /// [`drain_next_batch`]: EventQueueApi::drain_next_batch
-    fn ack(&mut self);
-    /// The timestamp of the earliest pending event, if any, without
-    /// popping.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending events (drained-but-unacked events included).
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total number of events ever scheduled on this queue.
-    fn scheduled_total(&self) -> u64;
-    /// High-water mark of pending events — how deep the queue ever got.
-    fn max_depth(&self) -> usize;
+    fn schedule(&mut self, at: SimTime, event: E);
 }
 
 /// A pending event: a payload scheduled for an instant.
@@ -158,30 +56,6 @@ struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then lowest-seq)
-        // event surfaces first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A time-ordered event queue with stable FIFO tie-breaking, implemented
@@ -265,13 +139,8 @@ impl<E> EventQueue<E> {
         (level, slot)
     }
 
-    /// Schedules `event` at instant `at`; returns a token for
-    /// [`EventQueue::cancel`].
-    ///
-    /// Scheduling in the past is a logic error in the caller; in debug
-    /// builds it panics, in release builds the event fires "now" (at the
-    /// current clock) to preserve monotonicity.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
+    /// Schedules `event` at instant `at`; see [`EventSink::schedule`].
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled an event in the past: {at} < {now}",
@@ -292,7 +161,6 @@ impl<E> EventQueue<E> {
         }
         self.pending += 1;
         self.max_depth = self.max_depth.max(self.len());
-        EventToken(seq)
     }
 
     /// Serves the earliest occupied wheel position into `due`, advancing
@@ -373,36 +241,15 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
-    /// Removes a pending event by token; see [`EventQueueApi::cancel`].
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if let Some(pos) = self.due.iter().position(|s| s.seq == token.0) {
-            self.due.remove(pos);
-            self.pending -= 1;
-            return true;
-        }
-        for level in 0..LEVELS {
-            let mut bits = self.occupied[level];
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let bucket = &mut self.buckets[level * SLOTS + slot];
-                if let Some(pos) = bucket.iter().position(|s| s.seq == token.0) {
-                    // Buckets are re-sorted at serve time, so order of the
-                    // remaining entries does not matter.
-                    bucket.swap_remove(pos);
-                    if bucket.is_empty() {
-                        self.occupied[level] &= !(1u64 << slot);
-                    }
-                    self.pending -= 1;
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Drains the next same-timestamp batch; see
-    /// [`EventQueueApi::drain_next_batch`].
+    /// Drains every event due at the earliest pending timestamp into
+    /// `buf`, in (time, insertion) order, advancing the clock to that
+    /// timestamp. Returns the batch timestamp, or `None` when empty.
+    ///
+    /// Drained events count toward [`len`] until [`ack`]ed, so depth
+    /// telemetry matches a pop-one-dispatch-one loop exactly.
+    ///
+    /// [`len`]: EventQueue::len
+    /// [`ack`]: EventQueue::ack
     pub fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
         debug_assert_eq!(self.outstanding, 0, "previous batch not fully acked");
         buf.clear();
@@ -419,8 +266,8 @@ impl<E> EventQueue<E> {
         Some(self.now)
     }
 
-    /// Acknowledges one drained event as dispatched; see
-    /// [`EventQueueApi::ack`].
+    /// Acknowledges one drained event as dispatched (see
+    /// [`drain_next_batch`](EventQueue::drain_next_batch)).
     pub fn ack(&mut self) {
         debug_assert!(self.outstanding > 0, "ack without a drained event");
         self.outstanding = self.outstanding.saturating_sub(1);
@@ -467,211 +314,26 @@ impl<E> EventQueue<E> {
 }
 
 impl<E> EventSink<E> for EventQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
+    fn schedule(&mut self, at: SimTime, event: E) {
         EventQueue::schedule(self, at, event)
     }
 }
 
-impl<E> EventQueueApi<E> for EventQueue<E> {
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        EventQueue::cancel(self, token)
-    }
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        EventQueue::drain_next_batch(self, buf)
-    }
-    fn ack(&mut self) {
-        EventQueue::ack(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    fn max_depth(&self) -> usize {
-        EventQueue::max_depth(self)
-    }
-}
-
-/// The retained `BinaryHeap` reference implementation of
-/// [`EventQueueApi`]: the pre-timing-wheel queue, kept as the behavioural
-/// oracle for the differential property tests and the heap-vs-wheel
-/// digest-identity benches.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    outstanding: usize,
-    next_seq: u64,
-    now: SimTime,
-    max_depth: usize,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            outstanding: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-            max_depth: 0,
-        }
-    }
-
-    /// See [`EventSink::schedule`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        debug_assert!(
-            at >= self.now,
-            "scheduled an event in the past: {at} < {now}",
-            at = at,
-            now = self.now
-        );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-        self.max_depth = self.max_depth.max(self.len());
-        EventToken(seq)
-    }
-
-    /// See [`EventQueueApi::pop`].
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.at >= self.now, "event queue went backwards in time");
-        self.now = s.at;
-        Some((s.at, s.event))
-    }
-
-    /// See [`EventQueueApi::cancel`]. O(n): rebuilds the heap without the
-    /// cancelled entry.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let before = entries.len();
-        entries.retain(|s| s.seq != token.0);
-        let found = entries.len() != before;
-        self.heap = BinaryHeap::from(entries);
-        found
-    }
-
-    /// See [`EventQueueApi::drain_next_batch`].
-    pub fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        debug_assert_eq!(self.outstanding, 0, "previous batch not fully acked");
-        buf.clear();
-        let (t, first) = self.pop()?;
-        buf.push(first);
-        while self.heap.peek().is_some_and(|s| s.at == t) {
-            let s = self.heap.pop().expect("peeked");
-            buf.push(s.event);
-        }
-        self.outstanding += buf.len();
-        Some(t)
-    }
-
-    /// See [`EventQueueApi::ack`].
-    pub fn ack(&mut self) {
-        debug_assert!(self.outstanding > 0, "ack without a drained event");
-        self.outstanding = self.outstanding.saturating_sub(1);
-    }
-
-    /// See [`EventQueueApi::peek_time`].
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// See [`EventQueueApi::len`].
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.outstanding
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// See [`EventQueueApi::scheduled_total`].
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// See [`EventQueueApi::max_depth`].
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// See [`EventQueueApi::now`].
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-}
-
-impl<E> EventSink<E> for HeapEventQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) -> EventToken {
-        HeapEventQueue::schedule(self, at, event)
-    }
-}
-
-impl<E> EventQueueApi<E> for HeapEventQueue<E> {
-    fn now(&self) -> SimTime {
-        HeapEventQueue::now(self)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        HeapEventQueue::pop(self)
-    }
-    fn cancel(&mut self, token: EventToken) -> bool {
-        HeapEventQueue::cancel(self, token)
-    }
-    fn drain_next_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        HeapEventQueue::drain_next_batch(self, buf)
-    }
-    fn ack(&mut self) {
-        HeapEventQueue::ack(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        HeapEventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        HeapEventQueue::len(self)
-    }
-    fn scheduled_total(&self) -> u64 {
-        HeapEventQueue::scheduled_total(self)
-    }
-    fn max_depth(&self) -> usize {
-        HeapEventQueue::max_depth(self)
-    }
-}
+#[cfg(test)]
+mod heap_reference;
 
 #[cfg(test)]
 mod tests {
+    use super::heap_reference::HeapEventQueue;
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
-    /// Runs `body` against both queue implementations, so every behaviour
-    /// below is pinned for the wheel and the heap reference alike.
-    fn on_both(body: impl Fn(&mut dyn DynQueue)) {
-        body(&mut EventQueue::<i64>::new());
-        body(&mut HeapEventQueue::<i64>::new());
-    }
-
-    /// Object-safe shim over `EventQueueApi<i64>` for the shared tests.
+    /// Object-safe view of the queue contract, so each behaviour below
+    /// is pinned for the wheel and the heap reference alike.
     trait DynQueue {
-        fn schedule(&mut self, at: SimTime, e: i64) -> EventToken;
+        fn schedule(&mut self, at: SimTime, e: i64);
         fn pop(&mut self) -> Option<(SimTime, i64)>;
-        fn cancel(&mut self, token: EventToken) -> bool;
         fn now(&self) -> SimTime;
         fn peek_time(&self) -> Option<SimTime>;
         fn len(&self) -> usize;
@@ -682,39 +344,58 @@ mod tests {
         fn ack(&mut self);
     }
 
-    impl<Q: EventQueueApi<i64>> DynQueue for Q {
-        fn schedule(&mut self, at: SimTime, e: i64) -> EventToken {
-            EventSink::schedule(self, at, e)
-        }
-        fn pop(&mut self) -> Option<(SimTime, i64)> {
-            EventQueueApi::pop(self)
-        }
-        fn cancel(&mut self, token: EventToken) -> bool {
-            EventQueueApi::cancel(self, token)
-        }
-        fn now(&self) -> SimTime {
-            EventQueueApi::now(self)
-        }
-        fn peek_time(&self) -> Option<SimTime> {
-            EventQueueApi::peek_time(self)
-        }
-        fn len(&self) -> usize {
-            EventQueueApi::len(self)
-        }
-        fn is_empty(&self) -> bool {
-            EventQueueApi::is_empty(self)
-        }
-        fn scheduled_total(&self) -> u64 {
-            EventQueueApi::scheduled_total(self)
-        }
-        fn max_depth(&self) -> usize {
-            EventQueueApi::max_depth(self)
-        }
-        fn drain_next_batch(&mut self, buf: &mut Vec<i64>) -> Option<SimTime> {
-            EventQueueApi::drain_next_batch(self, buf)
-        }
-        fn ack(&mut self) {
-            EventQueueApi::ack(self)
+    macro_rules! dyn_queue {
+        ($queue:ident) => {
+            impl DynQueue for $queue<i64> {
+                fn schedule(&mut self, at: SimTime, e: i64) {
+                    $queue::schedule(self, at, e)
+                }
+                fn pop(&mut self) -> Option<(SimTime, i64)> {
+                    $queue::pop(self)
+                }
+                fn now(&self) -> SimTime {
+                    $queue::now(self)
+                }
+                fn peek_time(&self) -> Option<SimTime> {
+                    $queue::peek_time(self)
+                }
+                fn len(&self) -> usize {
+                    $queue::len(self)
+                }
+                fn is_empty(&self) -> bool {
+                    $queue::is_empty(self)
+                }
+                fn scheduled_total(&self) -> u64 {
+                    $queue::scheduled_total(self)
+                }
+                fn max_depth(&self) -> usize {
+                    $queue::max_depth(self)
+                }
+                fn drain_next_batch(&mut self, buf: &mut Vec<i64>) -> Option<SimTime> {
+                    $queue::drain_next_batch(self, buf)
+                }
+                fn ack(&mut self) {
+                    $queue::ack(self)
+                }
+            }
+        };
+    }
+
+    dyn_queue!(EventQueue);
+    dyn_queue!(HeapEventQueue);
+
+    /// A fresh wheel and a fresh heap reference.
+    fn queues() -> [Box<dyn DynQueue>; 2] {
+        [
+            Box::new(EventQueue::<i64>::new()),
+            Box::new(HeapEventQueue::<i64>::new()),
+        ]
+    }
+
+    /// Runs `body` against both queue implementations.
+    fn on_both(body: impl Fn(&mut dyn DynQueue)) {
+        for mut q in queues() {
+            body(q.as_mut());
         }
     }
 
@@ -803,30 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_the_tokened_event() {
-        on_both(|q| {
-            let t = SimTime::from_secs(2);
-            let _a = q.schedule(t, 1);
-            let b = q.schedule(t, 2);
-            let _c = q.schedule(SimTime::from_secs(9), 3);
-            assert!(q.cancel(b), "pending event cancels");
-            assert!(!q.cancel(b), "second cancel finds nothing");
-            assert_eq!(q.len(), 2);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 3]);
-        });
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_no_op() {
-        on_both(|q| {
-            let a = q.schedule(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
-            assert!(!q.cancel(a), "fired events cannot be cancelled");
-        });
-    }
-
-    #[test]
     fn drain_serves_whole_timestamps_and_len_tracks_acks() {
         on_both(|q| {
             let t = SimTime::from_secs(4);
@@ -881,5 +538,115 @@ mod tests {
         let mut want = times.to_vec();
         want.sort_unstable();
         assert_eq!(popped, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Pops come out in (time, insertion) order — exactly a stable
+        /// sort. Pinned for both the timing wheel and the heap reference.
+        #[test]
+        fn event_queue_is_a_stable_sort(times in prop::collection::vec(0u64..1000, 1..200)) {
+            let mut reference: Vec<(u64, i64)> =
+                times.iter().enumerate().map(|(i, &t)| (t, i as i64)).collect();
+            reference.sort(); // stable: ties keep insertion order
+            for mut q in queues() {
+                for (i, &t) in times.iter().enumerate() {
+                    q.schedule(SimTime::from_secs(t), i as i64);
+                }
+                let popped: Vec<(u64, i64)> = std::iter::from_fn(|| q.pop())
+                    .map(|(t, i)| (t.as_micros() / 1_000_000, i))
+                    .collect();
+                prop_assert_eq!(popped, reference.clone());
+            }
+        }
+
+        /// The clock never runs backwards regardless of interleaving.
+        #[test]
+        fn event_queue_clock_is_monotone(
+            ops in prop::collection::vec((0u64..500, proptest::bool::ANY), 1..100),
+        ) {
+            for mut q in queues() {
+                let mut last = SimTime::ZERO;
+                for &(offset, pop) in &ops {
+                    let at = q.now() + SimDuration::from_secs(offset);
+                    q.schedule(at, 0);
+                    if pop {
+                        if let Some((t, _)) = q.pop() {
+                            prop_assert!(t >= last);
+                            last = t;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Differential test: the timing wheel and the heap reference
+        /// agree on every observable — pop order, clock, depth
+        /// telemetry — under random schedule/pop interleavings.
+        #[test]
+        fn wheel_matches_heap_on_random_interleavings(
+            ops in prop::collection::vec((0u8..3, 0u64..2000), 1..300),
+        ) {
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut payload = 0u64;
+            for (op, offset) in ops {
+                if op < 2 {
+                    // Schedule (twice as likely as a pop) — offsets are
+                    // relative to the current clock, occasionally zero to
+                    // exercise the same-instant FIFO path.
+                    let at = wheel.now() + SimDuration::from_micros(offset * offset);
+                    wheel.schedule(at, payload);
+                    heap.schedule(at, payload);
+                    payload += 1;
+                } else {
+                    prop_assert_eq!(wheel.pop(), heap.pop());
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.now(), heap.now());
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+                prop_assert_eq!(wheel.max_depth(), heap.max_depth());
+            }
+            // Drain both to the end: remaining order must match exactly.
+            loop {
+                let (w, h) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(w, h);
+                if w.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Differential test for the batch API: draining same-timestamp
+        /// batches yields identical slices and identical depth accounting
+        /// on both implementations.
+        #[test]
+        fn wheel_matches_heap_on_batch_drains(
+            times in prop::collection::vec(0u64..50, 1..200),
+        ) {
+            let mut wheel: EventQueue<usize> = EventQueue::new();
+            let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                wheel.schedule(SimTime::from_secs(t), i);
+                heap.schedule(SimTime::from_secs(t), i);
+            }
+            let (mut wb, mut hb) = (Vec::new(), Vec::new());
+            loop {
+                let (wt, ht) = (wheel.drain_next_batch(&mut wb), heap.drain_next_batch(&mut hb));
+                prop_assert_eq!(wt, ht);
+                prop_assert_eq!(&wb, &hb);
+                if wt.is_none() {
+                    break;
+                }
+                for _ in 0..wb.len() {
+                    prop_assert_eq!(wheel.len(), heap.len());
+                    wheel.ack();
+                    heap.ack();
+                }
+            }
+            prop_assert!(wheel.is_empty() && heap.is_empty());
+        }
     }
 }

@@ -5,12 +5,9 @@
 //! * [`time`] — a microsecond-resolution simulation clock ([`SimTime`],
 //!   [`SimDuration`]) with no dependence on wall-clock time;
 //! * [`event`] — a deterministic discrete-event queue with stable FIFO
-//!   ordering among simultaneous events. The default [`event::EventQueue`]
-//!   is a hierarchical timing wheel (O(1) amortized schedule/serve at
-//!   fleet scale); the retained [`event::HeapEventQueue`] is the
-//!   `BinaryHeap` reference both the property suite and the digest
-//!   identity benches compare it against, behind the shared
-//!   [`event::EventQueueApi`] trait;
+//!   ordering among simultaneous events: [`event::EventQueue`], a
+//!   hierarchical timing wheel (O(1) amortized schedule/serve at fleet
+//!   scale), tested against a `BinaryHeap` reference model;
 //! * [`rng`] — reproducible, named random-number streams derived from a
 //!   single master seed ([`rng::RngFactory`]), so adding a new consumer of
 //!   randomness never perturbs existing streams;

@@ -1,7 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
 use hcloud_sim::dist::{Dist, Sample};
-use hcloud_sim::event::{EventQueue, EventQueueApi, EventToken, HeapEventQueue};
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::series::StepSeries;
 use hcloud_sim::slot::{SlotKey, SlotMap};
@@ -11,131 +10,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    // ---------------------------------------------------------------
-    // Event queue
-    // ---------------------------------------------------------------
-
-    /// Pops come out in (time, insertion) order — exactly a stable sort.
-    /// Pinned for both the timing wheel and the retained heap reference.
-    #[test]
-    fn event_queue_is_a_stable_sort(times in prop::collection::vec(0u64..1000, 1..200)) {
-        fn check<Q: EventQueueApi<usize>>(times: &[u64]) -> Result<(), TestCaseError> {
-            let mut q = Q::default();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_secs(t), i);
-            }
-            let mut reference: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            reference.sort(); // stable: ties keep insertion order
-            let popped: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
-                .map(|(t, i)| (t.as_micros() / 1_000_000, i))
-                .collect();
-            prop_assert_eq!(popped, reference);
-            Ok(())
-        }
-        check::<EventQueue<usize>>(&times)?;
-        check::<HeapEventQueue<usize>>(&times)?;
-    }
-
-    /// The clock never runs backwards regardless of interleaving.
-    #[test]
-    fn event_queue_clock_is_monotone(ops in prop::collection::vec((0u64..500, proptest::bool::ANY), 1..100)) {
-        fn check<Q: EventQueueApi<()>>(ops: &[(u64, bool)]) -> Result<(), TestCaseError> {
-            let mut q = Q::default();
-            let mut last = SimTime::ZERO;
-            for &(offset, pop) in ops {
-                q.schedule(q.now() + SimDuration::from_secs(offset), ());
-                if pop {
-                    if let Some((t, _)) = q.pop() {
-                        prop_assert!(t >= last);
-                        last = t;
-                    }
-                }
-            }
-            Ok(())
-        }
-        check::<EventQueue<()>>(&ops)?;
-        check::<HeapEventQueue<()>>(&ops)?;
-    }
-
-    /// Differential test: the timing wheel and the heap reference agree on
-    /// every observable — pop order, cancel outcomes, clock, depth
-    /// telemetry — under random schedule/pop/cancel interleavings.
-    #[test]
-    fn wheel_matches_heap_on_random_interleavings(
-        ops in prop::collection::vec((0u8..4, 0u64..2000, any::<u16>()), 1..300),
-    ) {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
-        let mut payload = 0u64;
-        for (op, offset, pick) in ops {
-            match op {
-                // Schedule (twice as likely as the other ops) — offsets
-                // are relative to the current clock, occasionally zero to
-                // exercise the same-instant FIFO path.
-                0 | 1 => {
-                    let at = wheel.now() + SimDuration::from_micros(offset * offset);
-                    let tw = wheel.schedule(at, payload);
-                    let th = heap.schedule(at, payload);
-                    tokens.push((tw, th));
-                    payload += 1;
-                }
-                2 => {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
-                }
-                _ if !tokens.is_empty() => {
-                    let (tw, th) = tokens[pick as usize % tokens.len()];
-                    prop_assert_eq!(wheel.cancel(tw), heap.cancel(th));
-                }
-                _ => {}
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-            prop_assert_eq!(wheel.max_depth(), heap.max_depth());
-        }
-        // Drain both to the end: remaining order must match exactly.
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Differential test for the batch API: draining same-timestamp
-    /// batches yields identical slices and identical depth accounting on
-    /// both implementations.
-    #[test]
-    fn wheel_matches_heap_on_batch_drains(
-        times in prop::collection::vec(0u64..50, 1..200),
-    ) {
-        let mut wheel: EventQueue<usize> = EventQueue::new();
-        let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime::from_secs(t), i);
-            heap.schedule(SimTime::from_secs(t), i);
-        }
-        let (mut wb, mut hb) = (Vec::new(), Vec::new());
-        loop {
-            let (wt, ht) = (wheel.drain_next_batch(&mut wb), heap.drain_next_batch(&mut hb));
-            prop_assert_eq!(wt, ht);
-            prop_assert_eq!(&wb, &hb);
-            if wt.is_none() {
-                break;
-            }
-            for _ in 0..wb.len() {
-                prop_assert_eq!(wheel.len(), heap.len());
-                wheel.ack();
-                heap.ack();
-            }
-        }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
-    }
 
     // ---------------------------------------------------------------
     // RNG

@@ -1,5 +1,5 @@
-//! The O(tenants) `FairShare` kept as a reference model, the way
-//! `HeapEventQueue` serves the timing wheel.
+//! The O(tenants) `FairShare` kept as a reference model, the way the
+//! old `BinaryHeap` event queue serves the timing wheel's tests.
 //!
 //! This is the straightforward implementation: every drain round visits
 //! every tenant in DRR order, every needy check and starvation scan walks

@@ -8,7 +8,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyRegistry,
 };
 use hcloud_pricing::{commitment_cost, PricingModel, Rates, ReservedOnDemandPricing};
 use hcloud_sim::rng::RngFactory;
@@ -41,7 +41,7 @@ fn main() -> Result<(), AuditViolation> {
         "{:<8} {:>10} {:>12} {:>16} {:>20}",
         "strategy", "perf", "run cost", "$/core-hour", "26-week deployment"
     );
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let result = run_scenario(&scenario, &RunConfig::new(strategy), &RunCtx::new(&factory))?;
         let cost = result.cost(&rates, &pricing).total();
         let long = commitment_cost(

@@ -17,7 +17,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyId,
 };
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::SimTime;
@@ -87,7 +87,7 @@ fn main() -> Result<(), AuditViolation> {
 
     // Plenty of physical cores: the tenancy gate, not the fleet, is the
     // contended resource here.
-    let mut config = RunConfig::new(StrategyKind::StaticReserved).without_profiling();
+    let mut config = RunConfig::new(StrategyId::SR).without_profiling();
     config.reserved_cores_override = Some(32);
     let factory = RngFactory::new(7);
     let result = run_scenario(&scenario, &config, &RunCtx::new(&factory))?;

@@ -8,7 +8,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyRegistry,
 };
 use hcloud_pricing::{commitment_cost, PricingModel, Rates, ReservedOnDemandPricing};
 use hcloud_sim::rng::RngFactory;
@@ -32,7 +32,7 @@ fn main() -> Result<(), AuditViolation> {
 
     let rates = Rates::default();
     let mut results = Vec::new();
-    for s in StrategyKind::ALL {
+    for s in StrategyRegistry::paper() {
         let r = run_scenario(&scenario, &RunConfig::new(s), &RunCtx::new(&factory))?;
         results.push((s, r));
     }

@@ -8,7 +8,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyRegistry,
 };
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::rng::RngFactory;
@@ -38,7 +38,7 @@ fn main() -> Result<(), AuditViolation> {
         "{:<8} {:>10} {:>12} {:>12} {:>10}",
         "strategy", "perf", "batch mean", "p99 latency", "run cost"
     );
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let config = RunConfig::new(strategy);
         let result = run_scenario(&scenario, &config, &RunCtx::new(&factory))?;
         let batch = result.batch_performance_boxplot().expect("batch jobs");

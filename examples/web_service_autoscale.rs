@@ -11,7 +11,7 @@
 
 use hcloud::{
     runner::{run_scenario, AuditViolation, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyId, StrategyRef,
 };
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::dist::{LogNormal, Sample};
@@ -96,8 +96,12 @@ fn main() -> Result<(), AuditViolation> {
 
     let rates = Rates::default();
     let pricing = PricingModel::aws();
-    for strategy in [StrategyKind::HybridFull, StrategyKind::OnDemandFull] {
-        let result = run_scenario(&scenario, &RunConfig::new(strategy), &RunCtx::new(&factory))?;
+    for strategy in [StrategyId::HF, StrategyId::ODF].map(StrategyRef::from) {
+        let result = run_scenario(
+            &scenario,
+            &RunConfig::new(&strategy),
+            &RunCtx::new(&factory),
+        )?;
         let lc = result.lc_latency_boxplot().expect("memcached present");
         let cost = result.cost(&rates, &pricing);
         println!("{}:", strategy.short_name());

@@ -3,7 +3,7 @@
 use hcloud::config::DataLocalityModel;
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, RunResult, StrategyKind,
+    RunConfig, RunResult, StrategyId,
 };
 use hcloud_sim::rng::RngFactory;
 use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
@@ -16,7 +16,7 @@ fn scenario() -> Scenario {
 }
 
 fn run(data: Option<DataLocalityModel>) -> RunResult {
-    let mut config = RunConfig::new(StrategyKind::HybridMixed);
+    let mut config = RunConfig::new(StrategyId::HM);
     config.data = data;
     run_scenario(&scenario(), &config, &RunCtx::new(&RngFactory::new(33)))
         .expect("no auditor attached")

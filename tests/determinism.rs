@@ -2,7 +2,7 @@
 
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyId, StrategyRegistry,
 };
 use hcloud_sim::rng::RngFactory;
 use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
@@ -20,7 +20,7 @@ fn identical_seeds_reproduce_runs_bit_for_bit() {
         let s = scenario(1);
         run_scenario(
             &s,
-            &RunConfig::new(StrategyKind::HybridMixed),
+            &RunConfig::new(StrategyId::HM),
             &RunCtx::new(&RngFactory::new(1)),
         )
         .expect("no auditor attached")
@@ -50,7 +50,7 @@ fn workload_is_identical_across_strategies() {
     // methodology).
     let s = scenario(7);
     let ids: Vec<_> = s.jobs().iter().map(|j| j.id).collect();
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = run_scenario(
             &s,
             &RunConfig::new(strategy),
@@ -85,7 +85,7 @@ fn interference_is_repeatable_across_strategies() {
 #[test]
 fn outcomes_are_internally_consistent() {
     let s = scenario(3);
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = run_scenario(
             &s,
             &RunConfig::new(strategy),
@@ -123,7 +123,7 @@ fn identical_fault_plans_reproduce_runs_bit_for_bit() {
     use hcloud_faults::FaultPlanId;
     let run = || {
         let s = scenario(1);
-        let config = RunConfig::new(StrategyKind::HybridMixed)
+        let config = RunConfig::new(StrategyId::HM)
             .with_spot(hcloud::config::SpotPolicy::default())
             .with_faults(FaultPlanId::FullChaos.plan());
         run_scenario(&s, &config, &RunCtx::new(&RngFactory::new(1))).expect("no auditor attached")
@@ -140,13 +140,13 @@ fn off_fault_plan_matches_no_fault_plan() {
     let s = scenario(1);
     let plain = run_scenario(
         &s,
-        &RunConfig::new(StrategyKind::HybridMixed),
+        &RunConfig::new(StrategyId::HM),
         &RunCtx::new(&RngFactory::new(1)),
     )
     .expect("no auditor attached");
     let explicit_off = run_scenario(
         &s,
-        &RunConfig::new(StrategyKind::HybridMixed).with_faults(hcloud_faults::FaultPlan::off()),
+        &RunConfig::new(StrategyId::HM).with_faults(hcloud_faults::FaultPlan::off()),
         &RunCtx::new(&RngFactory::new(1)),
     )
     .expect("no auditor attached");
@@ -162,9 +162,9 @@ fn faulted_engine_results_are_identical_for_any_worker_count() {
     use hcloud_faults::FaultPlanId;
 
     let plan = || -> ExperimentPlan {
-        StrategyKind::ALL
+        StrategyRegistry::paper()
             .iter()
-            .map(|&s| {
+            .map(|s| {
                 RunSpec::of(ScenarioKind::HighVariability, s)
                     .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default()))
             })
@@ -198,9 +198,9 @@ fn engine_results_are_identical_for_any_worker_count() {
     use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
 
     let plan = || -> ExperimentPlan {
-        StrategyKind::ALL
+        StrategyRegistry::paper()
             .iter()
-            .map(|&s| RunSpec::of(ScenarioKind::HighVariability, s))
+            .map(|s| RunSpec::of(ScenarioKind::HighVariability, s))
             .collect()
     };
     let run_with = |jobs: usize| {
@@ -210,9 +210,13 @@ fn engine_results_are_identical_for_any_worker_count() {
 
     let sequential = run_with(1);
     let parallel = run_with(4);
-    assert_eq!(sequential.len(), StrategyKind::ALL.len());
-    for ((&strategy, a), b) in StrategyKind::ALL.iter().zip(&sequential).zip(&parallel) {
-        assert_eq!(a.strategy, strategy, "plan order broken for {strategy}");
+    assert_eq!(sequential.len(), StrategyRegistry::paper().len());
+    for ((strategy, a), b) in StrategyRegistry::paper()
+        .iter()
+        .zip(&sequential)
+        .zip(&parallel)
+    {
+        assert_eq!(&a.strategy, strategy, "plan order broken for {strategy}");
         assert_eq!(a, b, "{strategy} differs between 1 and 4 workers");
         assert!(
             a.counters.events_processed > 0,

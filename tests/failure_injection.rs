@@ -3,7 +3,7 @@
 
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, StrategyKind,
+    RunConfig, StrategyId, StrategyRegistry,
 };
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
 use hcloud_sim::rng::RngFactory;
@@ -28,7 +28,7 @@ fn assert_all_complete(config: &RunConfig, label: &str) {
 
 #[test]
 fn zero_retention_still_completes() {
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let mut c = RunConfig::new(strategy);
         c.retention_mult = 0.0;
         assert_all_complete(&c, "zero retention");
@@ -37,7 +37,7 @@ fn zero_retention_still_completes() {
 
 #[test]
 fn saturated_external_load_still_completes() {
-    for strategy in [StrategyKind::OnDemandMixed, StrategyKind::HybridMixed] {
+    for strategy in [StrategyId::ODM, StrategyId::HM] {
         let mut c = RunConfig::new(strategy);
         c.cloud.external = ExternalLoadModel::with_mean(1.0);
         assert_all_complete(&c, "external load 100%");
@@ -46,14 +46,14 @@ fn saturated_external_load_still_completes() {
 
 #[test]
 fn free_spin_up_still_completes() {
-    let mut c = RunConfig::new(StrategyKind::OnDemandFull);
+    let mut c = RunConfig::new(StrategyId::ODF);
     c.cloud.spin_up = SpinUpModel::instant();
     assert_all_complete(&c, "instant spin-up");
 }
 
 #[test]
 fn huge_spin_up_still_completes() {
-    let mut c = RunConfig::new(StrategyKind::OnDemandMixed);
+    let mut c = RunConfig::new(StrategyId::ODM);
     c.cloud.spin_up = SpinUpModel::with_mean_secs(300.0);
     assert_all_complete(&c, "5-minute spin-up");
 }
@@ -61,14 +61,14 @@ fn huge_spin_up_still_completes() {
 #[test]
 fn starved_reserved_pool_still_completes() {
     // A single reserved server under a hybrid: everything overflows.
-    let mut c = RunConfig::new(StrategyKind::HybridMixed);
+    let mut c = RunConfig::new(StrategyId::HM);
     c.reserved_cores_override = Some(16);
     assert_all_complete(&c, "16-core reserved pool");
 }
 
 #[test]
 fn oversized_reserved_pool_still_completes() {
-    let mut c = RunConfig::new(StrategyKind::HybridFull);
+    let mut c = RunConfig::new(StrategyId::HF);
     c.reserved_cores_override = Some(4096);
     assert_all_complete(&c, "huge reserved pool");
 }
@@ -80,7 +80,7 @@ fn sr_with_tight_capacity_queues_but_finishes() {
     let peak = s
         .required_cores_series()
         .max_over(hcloud_sim::SimTime::ZERO, s.ideal_completion());
-    let mut c = RunConfig::new(StrategyKind::StaticReserved);
+    let mut c = RunConfig::new(StrategyId::SR);
     c.reserved_cores_override = Some((peak * 0.6) as u32);
     let r = run_scenario(&s, &c, &RunCtx::new(&RngFactory::new(5))).expect("no auditor attached");
     assert_eq!(r.outcomes.len(), s.jobs().len());
@@ -95,7 +95,7 @@ fn all_sensitive_workload_completes() {
     let mut config = ScenarioConfig::scaled(ScenarioKind::HighVariability, 0.08, 15);
     config.sensitive_fraction = Some(1.0);
     let s = Scenario::generate(config, &RngFactory::new(5));
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = run_scenario(
             &s,
             &RunConfig::new(strategy),
@@ -112,7 +112,7 @@ fn empty_scenario_is_a_noop() {
     let s = Scenario::from_jobs(config, vec![]);
     let r = run_scenario(
         &s,
-        &RunConfig::new(StrategyKind::HybridMixed),
+        &RunConfig::new(StrategyId::HM),
         &RunCtx::new(&RngFactory::new(1)),
     )
     .expect("no auditor attached");
@@ -127,7 +127,7 @@ fn full_chaos_fault_plan_still_completes_every_strategy() {
     // lose a job under the kitchen-sink plan.
     use hcloud::config::SpotPolicy;
     use hcloud_faults::FaultPlanId;
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let c = RunConfig::new(strategy)
             .with_spot(SpotPolicy::default())
             .with_faults(FaultPlanId::FullChaos.plan());
@@ -141,7 +141,7 @@ fn cranked_up_chaos_still_completes() {
     // stragglers. Completion must still hold.
     use hcloud::config::SpotPolicy;
     use hcloud_faults::FaultPlanId;
-    let c = RunConfig::new(StrategyKind::HybridMixed)
+    let c = RunConfig::new(StrategyId::HM)
         .with_spot(SpotPolicy::default())
         .with_faults(FaultPlanId::FullChaos.plan().with_intensity(2.0));
     assert_all_complete(&c, "full chaos x2");
@@ -155,7 +155,7 @@ fn preempted_jobs_are_requeued_never_dropped() {
     use hcloud::config::SpotPolicy;
     use hcloud_faults::FaultPlanId;
     let s = scenario();
-    let c = RunConfig::new(StrategyKind::HybridMixed)
+    let c = RunConfig::new(StrategyId::HM)
         .with_spot(SpotPolicy::default())
         .with_faults(FaultPlanId::PreemptionStorms.plan().with_intensity(3.0));
     let r = run_scenario(&s, &c, &RunCtx::new(&RngFactory::new(5))).expect("no auditor attached");
@@ -184,7 +184,7 @@ fn monitor_blackout_degrades_dynamic_policy_gracefully() {
     let s = scenario();
     // The stock plan's 30-minute dropout cadence can miss a short smoke
     // scenario entirely; crank intensity so windows land inside the run.
-    let c = RunConfig::new(StrategyKind::HybridMixed)
+    let c = RunConfig::new(StrategyId::HM)
         .with_faults(FaultPlanId::MonitorBlackout.plan().with_intensity(8.0));
     let r = run_scenario(&s, &c, &RunCtx::new(&RngFactory::new(5))).expect("no auditor attached");
     assert_eq!(r.outcomes.len(), s.jobs().len(), "blackout dropped jobs");
@@ -200,7 +200,7 @@ fn monitor_blackout_degrades_dynamic_policy_gracefully() {
 
 #[test]
 fn profiling_off_with_extreme_load_never_panics() {
-    let mut c = RunConfig::new(StrategyKind::HybridMixed).without_profiling();
+    let mut c = RunConfig::new(StrategyId::HM).without_profiling();
     c.cloud.external = ExternalLoadModel::with_mean(0.9);
     c.retention_mult = 500.0;
     assert_all_complete(&c, "unprofiled, 90% load, long retention");

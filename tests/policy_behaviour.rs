@@ -3,7 +3,7 @@
 
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    MappingPolicy, RunConfig, RunResult, StrategyKind,
+    MappingPolicy, RunConfig, RunResult, StrategyId,
 };
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::stats::mean;
@@ -19,7 +19,7 @@ fn scenario() -> Scenario {
 fn run_policy(policy: MappingPolicy) -> RunResult {
     run_scenario(
         &scenario(),
-        &RunConfig::new(StrategyKind::HybridMixed).with_policy(policy),
+        &RunConfig::new(StrategyId::HM).with_policy(policy),
         &RunCtx::new(&RngFactory::new(11)),
     )
     .expect("no auditor attached")
@@ -127,7 +127,7 @@ fn wait_estimates_are_conservative_overall() {
 fn decision_trail_is_recorded_on_request() {
     use hcloud::result::PlacementReason;
     let s = scenario();
-    let mut config = RunConfig::new(StrategyKind::HybridMixed);
+    let mut config = RunConfig::new(StrategyId::HM);
     config.record_decisions = true;
     let r =
         run_scenario(&s, &config, &RunCtx::new(&RngFactory::new(11))).expect("no auditor attached");
@@ -150,7 +150,7 @@ fn decision_trail_is_recorded_on_request() {
     // Off by default.
     let r = run_scenario(
         &s,
-        &RunConfig::new(StrategyKind::HybridMixed),
+        &RunConfig::new(StrategyId::HM),
         &RunCtx::new(&RngFactory::new(11)),
     )
     .expect("no auditor attached");

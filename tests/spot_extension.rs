@@ -3,7 +3,7 @@
 use hcloud::config::SpotPolicy;
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, RunResult, StrategyKind,
+    RunConfig, RunResult, StrategyId, StrategyRegistry,
 };
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::rng::RngFactory;
@@ -17,7 +17,7 @@ fn scenario() -> Scenario {
 }
 
 fn run(spot: Option<SpotPolicy>) -> RunResult {
-    let mut config = RunConfig::new(StrategyKind::HybridMixed);
+    let mut config = RunConfig::new(StrategyId::HM);
     config.spot = spot;
     run_scenario(&scenario(), &config, &RunCtx::new(&RngFactory::new(21)))
         .expect("no auditor attached")
@@ -112,7 +112,7 @@ fn spot_usage_is_billed_at_a_discount() {
 fn paper_strategies_are_untouched_by_default() {
     // spot: None is the default — the five paper strategies never touch
     // the spot market.
-    for strategy in StrategyKind::ALL {
+    for strategy in StrategyRegistry::paper() {
         let r = run_scenario(
             &scenario(),
             &RunConfig::new(strategy),

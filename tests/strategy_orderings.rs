@@ -3,7 +3,7 @@
 
 use hcloud::{
     runner::{run_scenario, RunCtx},
-    RunConfig, RunResult, StrategyKind,
+    RunConfig, RunResult, StrategyId,
 };
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::rng::RngFactory;
@@ -13,7 +13,7 @@ fn scenario(kind: ScenarioKind) -> Scenario {
     Scenario::generate(ScenarioConfig::scaled(kind, 0.15, 30), &RngFactory::new(42))
 }
 
-fn run(kind: ScenarioKind, strategy: StrategyKind) -> RunResult {
+fn run(kind: ScenarioKind, strategy: StrategyId) -> RunResult {
     run_scenario(
         &scenario(kind),
         &RunConfig::new(strategy),
@@ -25,8 +25,8 @@ fn run(kind: ScenarioKind, strategy: StrategyKind) -> RunResult {
 #[test]
 fn reserved_beats_mixed_on_demand_everywhere() {
     for kind in ScenarioKind::ALL {
-        let sr = run(kind, StrategyKind::StaticReserved);
-        let odm = run(kind, StrategyKind::OnDemandMixed);
+        let sr = run(kind, StrategyId::SR);
+        let odm = run(kind, StrategyId::ODM);
         assert!(
             sr.mean_normalized_perf() > odm.mean_normalized_perf() + 0.05,
             "{}: SR {:.3} vs OdM {:.3}",
@@ -42,8 +42,8 @@ fn hybrids_stay_close_to_reserved_performance() {
     // Paper: hybrids within ~8% of SR. Allow slack for the scaled-down
     // scenario's smaller sample.
     let kind = ScenarioKind::HighVariability;
-    let sr = run(kind, StrategyKind::StaticReserved).mean_normalized_perf();
-    for strategy in [StrategyKind::HybridFull, StrategyKind::HybridMixed] {
+    let sr = run(kind, StrategyId::SR).mean_normalized_perf();
+    for strategy in [StrategyId::HF, StrategyId::HM] {
         let h = run(kind, strategy).mean_normalized_perf();
         assert!(
             h > sr * 0.85,
@@ -55,8 +55,8 @@ fn hybrids_stay_close_to_reserved_performance() {
 #[test]
 fn hybrids_outperform_mixed_on_demand() {
     let kind = ScenarioKind::HighVariability;
-    let hm = run(kind, StrategyKind::HybridMixed).mean_normalized_perf();
-    let odm = run(kind, StrategyKind::OnDemandMixed).mean_normalized_perf();
+    let hm = run(kind, StrategyId::HM).mean_normalized_perf();
+    let odm = run(kind, StrategyId::ODM).mean_normalized_perf();
     assert!(hm > odm, "HM {hm:.3} should beat OdM {odm:.3}");
 }
 
@@ -64,10 +64,10 @@ fn hybrids_outperform_mixed_on_demand() {
 fn odm_latency_blowup_matches_paper_direction() {
     // Paper: memcached suffers large tail-latency increases under OdM.
     let kind = ScenarioKind::HighVariability;
-    let sr = run(kind, StrategyKind::StaticReserved)
+    let sr = run(kind, StrategyId::SR)
         .lc_latency_boxplot()
         .expect("LC jobs");
-    let odm = run(kind, StrategyKind::OnDemandMixed)
+    let odm = run(kind, StrategyId::ODM)
         .lc_latency_boxplot()
         .expect("LC jobs");
     assert!(
@@ -87,12 +87,12 @@ fn per_run_cost_ordering_matches_figure5() {
     let rates = Rates::default();
     let model = PricingModel::aws();
     for kind in ScenarioKind::ALL {
-        let cost = |s: StrategyKind| run(kind, s).cost(&rates, &model).total();
-        let sr = cost(StrategyKind::StaticReserved);
-        let odf = cost(StrategyKind::OnDemandFull);
-        let odm = cost(StrategyKind::OnDemandMixed);
-        let hf = cost(StrategyKind::HybridFull);
-        let hm = cost(StrategyKind::HybridMixed);
+        let cost = |s: StrategyId| run(kind, s).cost(&rates, &model).total();
+        let sr = cost(StrategyId::SR);
+        let odf = cost(StrategyId::ODF);
+        let odm = cost(StrategyId::ODM);
+        let hf = cost(StrategyId::HF);
+        let hm = cost(StrategyId::HM);
         assert!(sr < odf && sr < odm, "{}: SR per-run cheapest", kind.name());
         assert!(hf < odf, "{}: HF {hf:.2} < OdF {odf:.2}", kind.name());
         assert!(hm < odm, "{}: HM {hm:.2} < OdM {odm:.2}", kind.name());
@@ -102,7 +102,7 @@ fn per_run_cost_ordering_matches_figure5() {
 #[test]
 fn hybrid_reserved_utilization_is_high() {
     let kind = ScenarioKind::HighVariability;
-    for strategy in [StrategyKind::HybridFull, StrategyKind::HybridMixed] {
+    for strategy in [StrategyId::HF, StrategyId::HM] {
         let r = run(kind, strategy);
         let util = r.mean_reserved_utilization().expect("reserved present");
         assert!(
@@ -116,8 +116,8 @@ fn hybrid_reserved_utilization_is_high() {
 fn sr_overprovisions_under_variability() {
     // SR must provision for peak; hybrids for the steady minimum.
     let kind = ScenarioKind::HighVariability;
-    let sr = run(kind, StrategyKind::StaticReserved);
-    let hm = run(kind, StrategyKind::HybridMixed);
+    let sr = run(kind, StrategyId::SR);
+    let hm = run(kind, StrategyId::HM);
     assert!(
         sr.reserved_cores > hm.reserved_cores * 3,
         "SR {} vs HM {} reserved cores",
@@ -131,8 +131,8 @@ fn odm_releases_more_instances_immediately_than_hm() {
     // Paper: 43% of OdM's instances were released immediately vs 11% for
     // HM — the hybrid only sends tolerant jobs to shared instances.
     let kind = ScenarioKind::HighVariability;
-    let odm = run(kind, StrategyKind::OnDemandMixed);
-    let hm = run(kind, StrategyKind::HybridMixed);
+    let odm = run(kind, StrategyId::ODM);
+    let hm = run(kind, StrategyId::HM);
     let rate = |r: &RunResult| {
         r.counters.od_released_immediately as f64 / r.counters.od_acquired.max(1) as f64
     };
@@ -147,11 +147,7 @@ fn odm_releases_more_instances_immediately_than_hm() {
 #[test]
 fn profiling_information_improves_every_reserved_strategy() {
     let kind = ScenarioKind::LowVariability;
-    for strategy in [
-        StrategyKind::StaticReserved,
-        StrategyKind::HybridFull,
-        StrategyKind::HybridMixed,
-    ] {
+    for strategy in [StrategyId::SR, StrategyId::HF, StrategyId::HM] {
         let s = scenario(kind);
         let factory = RngFactory::new(42);
         let with = run_scenario(&s, &RunConfig::new(strategy), &RunCtx::new(&factory))

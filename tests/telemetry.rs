@@ -1,16 +1,17 @@
 //! Integration tests for the structured telemetry layer: trace content
 //! and bit-identical traces across engine worker counts.
 
-use hcloud::StrategyKind;
-use hcloud_bench::engine::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
+use hcloud::StrategyId;
+use hcloud_bench::engine::{Engine, ExperimentPlan, RunSpec};
+use hcloud_bench::ExperimentCtx;
 use hcloud_telemetry::{render_jsonl, TraceKind, TraceMode};
 use hcloud_workloads::ScenarioKind;
 
 fn traced_plan() -> ExperimentPlan {
     let mut plan = ExperimentPlan::new();
     for seed in [1u64, 2, 3, 4] {
-        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyKind::HybridMixed).seed(seed));
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyKind::StaticReserved).seed(seed));
+        plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM).seed(seed));
+        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR).seed(seed));
     }
     plan
 }
@@ -48,10 +49,7 @@ fn hybrid_trace_covers_the_event_taxonomy() {
         .with_jobs(1)
         .with_trace(TraceMode::Full);
     let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(
-        ScenarioKind::HighVariability,
-        StrategyKind::HybridMixed,
-    ));
+    plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM));
     let outcome = Engine::new(ctx).run_plan(&plan);
     let trace = outcome.traces[0].as_ref().expect("traced run");
 
@@ -105,7 +103,7 @@ fn faulted_traces_are_bit_identical_across_worker_counts() {
         let mut plan = ExperimentPlan::new();
         for seed in [1u64, 2, 3] {
             plan.push(
-                RunSpec::of(ScenarioKind::HighVariability, StrategyKind::HybridMixed)
+                RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
                     .seed(seed)
                     .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default())),
             );
@@ -143,7 +141,7 @@ fn fault_events_carry_the_new_taxonomy() {
         .with_faults(FaultPlanId::FullChaos);
     let mut plan = ExperimentPlan::new();
     plan.push(
-        RunSpec::of(ScenarioKind::HighVariability, StrategyKind::HybridMixed)
+        RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
             .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default())),
     );
     let outcome = Engine::new(ctx).run_plan(&plan);
