@@ -262,7 +262,7 @@ experiments! {
         id: "fig06_fig07_mapping_policies",
         paper_ref: "Figures 6-7",
         kind: ExperimentKind::PaperFigure,
-        claim: "the P4 interference-aware mapping policy dominates P1-P8 alternatives",
+        claim: "the dynamic P8 policy keeps both sides >=90% of isolation at ~80% reserved utilization; strict quality thresholds (P3, P4) drop to ~63% reserved and ~46-48% on-demand",
         scenarios: "high-variability",
         strategies: "HF HM",
         artifacts: &["fig06_07_policies"],

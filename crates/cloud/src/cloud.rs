@@ -18,7 +18,7 @@ use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::{SimDuration, SimTime};
 use hcloud_telemetry::{trace_event, TraceKind, Tracer};
 
-use crate::external::ExternalLoadModel;
+use crate::external::{ExternalLoadModel, ServerLoad};
 use crate::instance_type::InstanceType;
 use crate::provider::ProviderProfile;
 use crate::spinup::SpinUpModel;
@@ -84,6 +84,10 @@ pub struct Instance {
     /// Injected straggler fate: `(onset, slowdown factor)` if this
     /// instance degrades.
     perf_fault: Option<(SimTime, f64)>,
+    /// The server's external-load profile while the instance is held;
+    /// `None` for unexposed instances (reserved, full server) and after
+    /// release.
+    load: Option<Box<ServerLoad>>,
 }
 
 impl Instance {
@@ -130,6 +134,11 @@ impl Instance {
     /// The injected straggler fate `(onset, slowdown factor)`, if any.
     pub fn performance_fault(&self) -> Option<(SimTime, f64)> {
         self.perf_fault
+    }
+    /// Whether external tenants share this instance's server: a
+    /// non-reserved instance smaller than a full server.
+    fn is_exposed(&self) -> bool {
+        !self.reserved && self.itype.external_share() > 0.0
     }
 }
 
@@ -413,7 +422,7 @@ impl Cloud {
                 }
             );
         }
-        self.instances.push(Instance {
+        let mut instance = Instance {
             id,
             itype,
             reserved,
@@ -424,7 +433,12 @@ impl Cloud {
             terminates_at,
             server_seed: id.0,
             perf_fault,
-        });
+            load: None,
+        };
+        if instance.is_exposed() {
+            instance.load = Some(Box::new(self.external.server_load(&self.factory, id.0)));
+        }
+        self.instances.push(instance);
         id
     }
 
@@ -436,6 +450,7 @@ impl Cloud {
         let inst = self.slot_mut(id);
         assert!(inst.released_at.is_none(), "instance {id} released twice");
         inst.released_at = Some(now.max(inst.requested_at));
+        inst.load = None;
         trace_event!(
             self.tracer,
             now,
@@ -473,12 +488,13 @@ impl Cloud {
         if inst.reserved {
             return ResourceVector::ZERO;
         }
-        let raw = self.external.pressure(
-            &self.factory,
-            inst.server_seed,
-            t,
-            inst.itype.external_share(),
-        );
+        let share = inst.itype.external_share();
+        let raw = match &inst.load {
+            Some(load) => load.pressure(&self.external, &self.factory, t, share),
+            None => self
+                .external
+                .pressure(&self.factory, inst.server_seed, t, share),
+        };
         if self.config.partitioning <= 0.0 {
             return raw;
         }
@@ -517,6 +533,23 @@ impl Cloud {
             Some((onset, factor)) if t >= onset => factor,
             _ => 1.0,
         }
+    }
+
+    /// A value that changes whenever [`Cloud::external_pressure`] or
+    /// [`Cloud::fault_slowdown`] of `id` may: the external-load epoch of
+    /// `t` on an exposed server (0 otherwise), shifted left one bit to
+    /// make room for whether a straggler fault has set in. Equal values
+    /// at two instants guarantee equal answers from both queries, so
+    /// callers may cache anything derived from them per value.
+    pub fn interference_epoch(&self, id: InstanceId, t: SimTime) -> u64 {
+        let inst = self.instance(id);
+        let epoch = if inst.is_exposed() {
+            self.external.epoch(t)
+        } else {
+            0
+        };
+        let straggling = matches!(inst.perf_fault, Some((onset, _)) if t >= onset);
+        epoch << 1 | u64::from(straggling)
     }
 
     /// Number of instances still held at `now`.

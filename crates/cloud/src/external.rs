@@ -12,9 +12,14 @@
 //!   of the violin plots.
 //!
 //! The level is a **pure function** of `(rng factory, server seed, time)`:
-//! no state is stored, two strategies observing the same server at the
-//! same instant see the same interference, and experiments are exactly
-//! repeatable — the property the paper's container methodology provides.
+//! two strategies observing the same server at the same instant see the
+//! same interference, and experiments are exactly repeatable — the
+//! property the paper's container methodology provides. A `ServerLoad`
+//! profile draws a server's persistent part once and memoizes the level
+//! of the last epoch it was asked about; it returns the same bits the
+//! stateless [`ExternalLoadModel::pressure`] recomputes on every call.
+
+use std::cell::Cell;
 
 use hcloud_interference::ResourceVector;
 use hcloud_sim::dist::{Normal, Sample, TruncatedNormal, Uniform};
@@ -77,17 +82,31 @@ impl ExternalLoadModel {
         }
     }
 
-    /// The external utilization level of server `server_seed` at `t`,
-    /// in `[0, 0.95]`.
-    pub fn level(&self, factory: &RngFactory, server_seed: u64, t: SimTime) -> f64 {
-        if self.mean == 0.0 && self.spike_prob == 0.0 {
+    /// Whether the process imposes no load at all: every level is 0.
+    fn is_silent(&self) -> bool {
+        self.mean == 0.0 && self.spike_prob == 0.0
+    }
+
+    /// The temporal epoch `t` falls in: the level is re-drawn once per
+    /// `interval`, so it is a function of this index alone.
+    pub(crate) fn epoch(&self, t: SimTime) -> u64 {
+        t.as_micros() / self.interval.as_micros().max(1)
+    }
+
+    /// The persistent spatial offset of server `server_seed`.
+    fn spatial(&self, factory: &RngFactory, server_seed: u64) -> f64 {
+        if self.is_silent() {
             return 0.0;
         }
-        let spatial = {
-            let mut rng = factory.indexed_stream("external.spatial", server_seed);
-            Normal::new(0.0, self.spatial_sigma).sample(&mut rng)
-        };
-        let k = t.as_micros() / self.interval.as_micros().max(1);
+        let mut rng = factory.indexed_stream("external.spatial", server_seed);
+        Normal::new(0.0, self.spatial_sigma).sample(&mut rng)
+    }
+
+    /// The level in epoch `k` of a server with spatial offset `spatial`.
+    fn epoch_level(&self, factory: &RngFactory, server_seed: u64, spatial: f64, k: u64) -> f64 {
+        if self.is_silent() {
+            return 0.0;
+        }
         let idx = server_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(k);
         let mut rng = factory.indexed_stream("external.temporal", idx);
         let temporal = if self.fluctuation > 0.0 {
@@ -109,6 +128,13 @@ impl ExternalLoadModel {
         (self.mean + spatial + temporal + spike).clamp(0.0, 0.95)
     }
 
+    /// The external utilization level of server `server_seed` at `t`,
+    /// in `[0, 0.95]`.
+    pub fn level(&self, factory: &RngFactory, server_seed: u64, t: SimTime) -> f64 {
+        let spatial = self.spatial(factory, server_seed);
+        self.epoch_level(factory, server_seed, spatial, self.epoch(t))
+    }
+
     /// The per-resource mix direction of server `server_seed`: entries in
     /// `[0.6, 1.4]` with unit mean, persistent per server.
     pub fn mix(&self, factory: &RngFactory, server_seed: u64) -> ResourceVector {
@@ -117,12 +143,25 @@ impl ExternalLoadModel {
         raw.scale(1.0 / raw.mean())
     }
 
+    /// Server `server_seed`'s load profile: its spatial offset and
+    /// resource mix, drawn once here instead of on every query.
+    pub(crate) fn server_load(&self, factory: &RngFactory, server_seed: u64) -> ServerLoad {
+        ServerLoad {
+            server_seed,
+            spatial: self.spatial(factory, server_seed),
+            mix: self.mix(factory, server_seed),
+            last: Cell::new(None),
+        }
+    }
+
     /// The external pressure vector an instance occupying `1 − share` of
     /// the server experiences: the level, capped by the share external
     /// tenants can occupy, spread along the server's resource mix.
     ///
     /// `share` is [`crate::InstanceType::external_share`]: 0 for a full
-    /// server (⇒ zero pressure), 15/16 for a 1-vCPU slice.
+    /// server (⇒ zero pressure), 15/16 for a 1-vCPU slice. This builds
+    /// the server's profile on the fly; holders of a `ServerLoad` ask
+    /// it instead.
     pub fn pressure(
         &self,
         factory: &RngFactory,
@@ -134,8 +173,50 @@ impl ExternalLoadModel {
         if share == 0.0 {
             return ResourceVector::ZERO;
         }
-        let level = self.level(factory, server_seed, t) * share;
-        self.mix(factory, server_seed).scale(level)
+        self.server_load(factory, server_seed)
+            .pressure(self, factory, t, share)
+    }
+}
+
+/// One server's external load: the persistent spatial offset and
+/// resource mix, plus the level of the last epoch queried.
+///
+/// The level is a pure function of the epoch, so the memo only saves
+/// work: every answer is bit-identical to [`ExternalLoadModel::pressure`].
+/// Queries within one epoch (the monitor's quality sample, then each
+/// co-scheduled job's update) cost one scaling of the mix.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ServerLoad {
+    server_seed: u64,
+    spatial: f64,
+    mix: ResourceVector,
+    /// `(epoch, level)` of the last epoch queried.
+    last: Cell<Option<(u64, f64)>>,
+}
+
+impl ServerLoad {
+    /// The server's external utilization level at `t` under `model`.
+    fn level(&self, model: &ExternalLoadModel, factory: &RngFactory, t: SimTime) -> f64 {
+        let k = model.epoch(t);
+        match self.last.get() {
+            Some((epoch, level)) if epoch == k => level,
+            _ => {
+                let level = model.epoch_level(factory, self.server_seed, self.spatial, k);
+                self.last.set(Some((k, level)));
+                level
+            }
+        }
+    }
+
+    /// [`ExternalLoadModel::pressure`] on this server, for a `share > 0`.
+    pub(crate) fn pressure(
+        &self,
+        model: &ExternalLoadModel,
+        factory: &RngFactory,
+        t: SimTime,
+        share: f64,
+    ) -> ResourceVector {
+        self.mix.scale(self.level(model, factory, t) * share)
     }
 }
 

@@ -98,11 +98,60 @@ struct SchedInstance {
     /// job state in O(1) without an id lookup. Kept as a small vector
     /// (not a set): interference sums iterate it in insertion order,
     /// which floating-point addition makes order-bearing.
-    jobs: Vec<(JobId, SlotKey)>,
+    jobs: Vec<Colocated>,
     retention_token: u64,
+    /// Redrawn from the run's stamp counter whenever the slowdown of a
+    /// job bound here may change: its co-runner sum (attach, detach, a
+    /// co-runner's start or local boost) or the cloud's interference
+    /// epoch. A colocation entry's memo holds while its stamp is this.
+    stamp: u64,
+    /// The cloud's interference epoch as of the last memo lookup.
+    epoch: u64,
+}
+
+/// One job bound to an instance, with its memoized slowdown.
+#[derive(Debug, Clone, Copy)]
+struct Colocated {
+    job: JobId,
+    /// The job's slot in the running-job arena.
+    key: SlotKey,
+    /// The instance stamp `slowdown` was computed under; 0, which the
+    /// stamp counter never hands out, until the first computation.
+    stamp: u64,
+    slowdown: f64,
 }
 
 impl SchedInstance {
+    /// An instance with no jobs bound. Room for one: most on-demand
+    /// instances host a single job, and a first push would reserve four.
+    fn new(
+        cloud_id: InstanceId,
+        itype: InstanceType,
+        reserved: bool,
+        spot: bool,
+        ready_at: SimTime,
+    ) -> Self {
+        SchedInstance {
+            cloud_id,
+            itype,
+            reserved,
+            spot,
+            ready_at,
+            used_cores: 0,
+            jobs: Vec::with_capacity(1),
+            retention_token: 0,
+            stamp: 0,
+            epoch: 0,
+        }
+    }
+
+    /// Invalidates every slowdown memo on this instance by issuing it
+    /// the next stamp of the run's counter.
+    fn restamp(&mut self, stamps: &mut u64) {
+        *stamps += 1;
+        self.stamp = *stamps;
+    }
+
     fn free_cores(&self) -> u32 {
         debug_assert!(
             self.used_cores <= self.itype.vcpus(),
@@ -317,6 +366,10 @@ pub struct Scheduler<'a> {
     /// in the scenario) keeps every path byte-identical to an untenanted
     /// build — one branch per hook site, the tracer/auditor idiom.
     tenancy: Option<TenancyState>,
+    /// The last stamp handed to an instance (see `SchedInstance::stamp`).
+    stamps: u64,
+    /// The monitor tick's `(job, arena slot)` walk, reused across ticks.
+    tick_jobs: Vec<(JobId, SlotKey)>,
 }
 
 /// Acquisition attempts before giving up on fault-aware retries and
@@ -380,16 +433,13 @@ impl<'a> Scheduler<'a> {
         let reserved_handles: Vec<InstanceHandle> = reserved_ids
             .iter()
             .map(|&id| {
-                InstanceHandle::new(instances.insert(SchedInstance {
-                    cloud_id: id,
-                    itype: InstanceType::full_server(),
-                    reserved: true,
-                    spot: false,
-                    ready_at: SimTime::ZERO,
-                    used_cores: 0,
-                    jobs: Vec::new(),
-                    retention_token: 0,
-                }))
+                InstanceHandle::new(instances.insert(SchedInstance::new(
+                    id,
+                    InstanceType::full_server(),
+                    true,
+                    false,
+                    SimTime::ZERO,
+                )))
             })
             .collect();
         for &id in &reserved_ids {
@@ -446,6 +496,8 @@ impl<'a> Scheduler<'a> {
                 fair: FairShare::new(plan),
                 deferred: BTreeMap::new(),
             }),
+            stamps: 0,
+            tick_jobs: Vec::new(),
         }
     }
 
@@ -529,7 +581,13 @@ impl<'a> Scheduler<'a> {
             .get_mut(h.key())
             .expect("attach to live instance");
         inst.used_cores += cores;
-        inst.jobs.push((jid, key));
+        inst.jobs.push(Colocated {
+            job: jid,
+            key,
+            stamp: 0,
+            slowdown: 0.0,
+        });
+        inst.restamp(&mut self.stamps);
         let od = !inst.reserved;
         let cloud_id = inst.cloud_id.raw();
         let bucket = (inst.itype.family(), inst.itype.vcpus(), h);
@@ -570,7 +628,8 @@ impl<'a> Scheduler<'a> {
             return Err(violation);
         };
         inst.used_cores = remaining;
-        inst.jobs.retain(|&(j, _)| j != jid);
+        inst.jobs.retain(|c| c.job != jid);
+        inst.restamp(&mut self.stamps);
         let empty = inst.jobs.is_empty();
         let cloud_id = inst.cloud_id.raw();
         self.auditor.cores_unbound(now, cloud_id, cores);
@@ -1396,24 +1455,13 @@ impl<'a> Scheduler<'a> {
             self.counters.degraded_instances += 1;
         }
         self.od_allocated.record_delta(now, itype.vcpus() as f64);
-        self.track_od_instance(
-            SchedInstance {
-                cloud_id: id,
-                itype,
-                reserved: false,
-                spot: false,
-                ready_at,
-                used_cores: 0,
-                jobs: Vec::new(),
-                retention_token: 0,
-            },
-            itype,
-        )
+        self.track_od_instance(SchedInstance::new(id, itype, false, false, ready_at))
     }
 
     /// Registers a freshly acquired on-demand instance in the arena and
     /// the secondary indices.
-    fn track_od_instance(&mut self, inst: SchedInstance, itype: InstanceType) -> InstanceHandle {
+    fn track_od_instance(&mut self, inst: SchedInstance) -> InstanceHandle {
+        let itype = inst.itype;
         if self.auditor.is_enabled() {
             // Ledger acquisition time must match what the provider bills
             // from: the (possibly retry-delayed) request time, not `now`.
@@ -1453,19 +1501,7 @@ impl<'a> Scheduler<'a> {
             self.counters.degraded_instances += 1;
         }
         self.od_allocated.record_delta(now, itype.vcpus() as f64);
-        let h = self.track_od_instance(
-            SchedInstance {
-                cloud_id: id,
-                itype,
-                reserved: false,
-                spot: true,
-                ready_at,
-                used_cores: 0,
-                jobs: Vec::new(),
-                retention_token: 0,
-            },
-            itype,
-        );
+        let h = self.track_od_instance(SchedInstance::new(id, itype, false, true, ready_at));
         trace_event!(
             self.tracer,
             now,
@@ -1511,7 +1547,7 @@ impl<'a> Scheduler<'a> {
         let Ok(inst) = self.instances.get(h.key()) else {
             return Ok(());
         };
-        let victims: Vec<(JobId, SlotKey)> = inst.jobs.clone();
+        let victims: Vec<JobId> = inst.jobs.iter().map(|c| c.job).collect();
         trace_event!(
             self.tracer,
             now,
@@ -1527,7 +1563,7 @@ impl<'a> Scheduler<'a> {
         // destroys, before releasing the instance — re-admission must
         // never pack onto the dying host.
         let mut displaced = Vec::with_capacity(victims.len());
-        for &(jid, _) in &victims {
+        for &jid in &victims {
             // Field-level lookup (not `running_job`) so the job borrow
             // stays disjoint from the counters we bump below.
             let Some(job) = self
@@ -1975,12 +2011,12 @@ impl<'a> Scheduler<'a> {
         let inst = self.inst(h);
         let server = InstanceType::full_server().vcpus() as f64;
         let mut total = ResourceVector::ZERO;
-        for &(jid, key) in &inst.jobs {
-            if Some(jid) == exclude {
+        for c in &inst.jobs {
+            if Some(c.job) == exclude {
                 continue;
             }
             // O(1) arena access; a stale key is a job no longer running.
-            let Ok(job) = self.running.get(key) else {
+            let Ok(job) = self.running.get(c.key) else {
                 continue;
             };
             if !job.started {
@@ -2004,7 +2040,7 @@ impl<'a> Scheduler<'a> {
     /// The multiplicative slowdown `jid` currently suffers: interference
     /// from external tenants and co-scheduled jobs, times any injected
     /// performance fault on the host (1.0 without an active fault plan).
-    pub fn current_slowdown(&self, jid: JobId, now: SimTime) -> f64 {
+    fn current_slowdown(&self, jid: JobId, now: SimTime) -> f64 {
         let job = self.running_job(jid).expect("running");
         let spec = &self.scenario.jobs()[job.spec_idx];
         let pressure = self.pressure_on(jid, now);
@@ -2013,6 +2049,43 @@ impl<'a> Scheduler<'a> {
             .slowdown_model()
             .slowdown(&spec.sensitivity, &pressure)
             * self.cloud.fault_slowdown(host, now)
+    }
+
+    /// [`Self::current_slowdown`] of `jid`, bound to `h`, read from its
+    /// colocation entry while the entry's stamp is still the instance's.
+    /// A change of the cloud's interference epoch restamps the instance
+    /// here; the co-runner changes restamp it where they happen.
+    fn memo_slowdown(&mut self, h: InstanceHandle, jid: JobId, now: SimTime) -> f64 {
+        let inst = self
+            .instances
+            .get_mut(h.key())
+            .expect("live instance handle");
+        let epoch = self.cloud.interference_epoch(inst.cloud_id, now);
+        if epoch != inst.epoch {
+            inst.epoch = epoch;
+            inst.restamp(&mut self.stamps);
+        }
+        let stamp = inst.stamp;
+        let pos = inst
+            .jobs
+            .iter()
+            .position(|c| c.job == jid)
+            .expect("running job is bound to its instance");
+        let memo = inst.jobs[pos];
+        if memo.stamp == stamp {
+            debug_assert_eq!(
+                memo.slowdown.to_bits(),
+                self.current_slowdown(jid, now).to_bits(),
+                "stale slowdown memo for job {}",
+                jid.0
+            );
+            return memo.slowdown;
+        }
+        let slowdown = self.current_slowdown(jid, now);
+        let entry = &mut self.inst_mut(h).jobs[pos];
+        entry.stamp = stamp;
+        entry.slowdown = slowdown;
+        slowdown
     }
 
     // ------------------------------------------------------------------
@@ -2035,6 +2108,12 @@ impl<'a> Scheduler<'a> {
         job.started = true;
         job.last_progress = now;
         let spec_idx = job.spec_idx;
+        // Co-runners' interference sums skip jobs that have not started.
+        let h = job.instance;
+        self.instances
+            .get_mut(h.key())
+            .expect("live instance handle")
+            .restamp(&mut self.stamps);
         let spec = &self.scenario.jobs()[spec_idx];
         match spec.kind {
             JobKind::Batch { .. } => {
@@ -2240,10 +2319,12 @@ impl<'a> Scheduler<'a> {
     /// outstanding handle turns stale) and drops it from all indices.
     /// Stale handles make double releases impossible by construction.
     fn release_instance(&mut self, h: InstanceHandle, now: SimTime) {
-        let Ok(inst) = self.instances.get(h.key()) else {
+        let Ok(inst) = self.instances.get_mut(h.key()) else {
             return;
         };
         debug_assert!(!inst.reserved, "reserved instances are never released");
+        // The arena keeps retired slots: free the colocation vector.
+        inst.jobs = Vec::new();
         let vcpus = inst.itype.vcpus() as f64;
         let id = inst.cloud_id;
         let bucket = (inst.itype.family(), inst.itype.vcpus(), h);
@@ -2261,8 +2342,6 @@ impl<'a> Scheduler<'a> {
     // Monitor tick
     // ------------------------------------------------------------------
 
-    /// Periodic monitoring: quality sampling, progress re-projection,
-    /// QoS actions, feedback loops.
     /// Feeds the quality monitor one delivered-quality sample per ready
     /// live on-demand instance — the per-tick quantile churn that the
     /// `QuantileSet` made incremental, and what the
@@ -2280,6 +2359,8 @@ impl<'a> Scheduler<'a> {
         }
     }
 
+    /// Periodic monitoring: quality sampling, progress re-projection,
+    /// QoS actions, feedback loops.
     pub fn on_tick(
         &mut self,
         now: SimTime,
@@ -2325,10 +2406,14 @@ impl<'a> Scheduler<'a> {
         // 2. Update running jobs, ascending by scenario id — the iteration
         // order of the old id-keyed map, which floating-point accumulation
         // makes order-bearing.
-        let jids: Vec<JobId> = self.running_by_id.keys().copied().collect();
-        for jid in jids {
-            self.update_job(jid, now, events)?;
-        }
+        let mut walk = std::mem::take(&mut self.tick_jobs);
+        walk.clear();
+        walk.extend(self.running_by_id.iter().map(|(&jid, &key)| (jid, key)));
+        let updated = walk
+            .iter()
+            .try_for_each(|&(jid, key)| self.update_job(jid, key, now, events));
+        self.tick_jobs = walk;
+        updated?;
 
         // 2b. Tenancy: starvation-relief preemption, then drain the gate.
         if self.tenancy.is_some() {
@@ -2412,7 +2497,8 @@ impl<'a> Scheduler<'a> {
         else {
             return Ok(());
         };
-        let moving: Vec<(JobId, SlotKey)> = self.inst(src).jobs.clone();
+        let moving: Vec<(JobId, SlotKey)> =
+            self.inst(src).jobs.iter().map(|c| (c.job, c.key)).collect();
         for (jid, key) in moving {
             let Ok(job) = self.running.get_mut(key) else {
                 continue;
@@ -2429,14 +2515,15 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Progress + QoS update for one job.
+    /// Progress + QoS update for one job, living in arena slot `key`.
     fn update_job(
         &mut self,
         jid: JobId,
+        key: SlotKey,
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
-        let Some(job) = self.running_job(jid) else {
+        let Ok(job) = self.running.get(key) else {
             return Ok(());
         };
         if !job.started {
@@ -2445,17 +2532,17 @@ impl<'a> Scheduler<'a> {
         let spec_idx = job.spec_idx;
         let inst_h = job.instance;
         let cores = job.cores;
+        let last_progress = job.last_progress;
         let spec = &self.scenario.jobs()[spec_idx];
-        let slowdown = self.current_slowdown(jid, now);
+        let slowdown = self.memo_slowdown(inst_h, jid, now);
 
         match spec.kind {
             JobKind::Batch { .. } => {
                 let eff = cores.min(spec.cores).max(1) as f64;
-                let last_progress = self.running_job(jid).expect("running").last_progress;
                 let dt = audited_since(&self.auditor, now, last_progress, jid.0, "batch tick dt")
                     .as_secs_f64();
                 let (executed, v, finish) = {
-                    let job = self.running_job_mut(jid).expect("running");
+                    let job = self.running.get_mut(key).expect("running");
                     let before = job.remaining_work;
                     job.remaining_work = (job.remaining_work - eff * dt / slowdown).max(0.0);
                     job.last_progress = now;
@@ -2488,7 +2575,12 @@ impl<'a> Scheduler<'a> {
                         if self.inst(inst_h).reserved {
                             self.reserved_busy.record_delta(now, grow as f64);
                         }
-                        self.running_job_mut(jid).expect("running").cores += grow;
+                        self.running.get_mut(key).expect("running").cores += grow;
+                        // The co-runners' interference sums weigh our cores.
+                        self.instances
+                            .get_mut(inst_h.key())
+                            .expect("live instance handle")
+                            .restamp(&mut self.stamps);
                         trace_event!(
                             self.tracer,
                             now,
@@ -2505,7 +2597,7 @@ impl<'a> Scheduler<'a> {
                 // (the replacement instance's ready time), and ticks
                 // before it must contribute zero weight.
                 let (dt, grown_cores) = {
-                    let job = self.running_job_mut(jid).expect("running");
+                    let job = self.running.get_mut(key).expect("running");
                     let dt = now.saturating_since(job.last_progress).as_secs_f64();
                     job.last_progress = now;
                     (dt, job.cores)
@@ -2517,7 +2609,7 @@ impl<'a> Scheduler<'a> {
                 // on-demand instance (rare; Section 3.3 "the latter is
                 // unlikely in practice").
                 let (badly, bad_ticks, threshold, rescheduled) = {
-                    let job = self.running_job_mut(jid).expect("running");
+                    let job = self.running.get_mut(key).expect("running");
                     job.lat_weighted_sum += p99 * dt;
                     job.lat_weight += dt;
                     let threshold = 6.0 * job.isolation_p99;
@@ -2808,6 +2900,156 @@ mod tests {
         assert!((tenth - full * 0.1).abs() < 1e-9, "{tenth} vs {full}");
     }
 
+    /// Reads `jid`'s slowdown through its memo and checks it against a
+    /// fresh computation, bit for bit (debug builds also check inside
+    /// `memo_slowdown`, on every hit).
+    fn fresh_memo(sched: &mut Scheduler<'_>, jid: JobId, now: SimTime) -> f64 {
+        let h = sched.running_job(jid).expect("running").instance;
+        let memo = sched.memo_slowdown(h, jid, now);
+        assert_eq!(
+            memo.to_bits(),
+            sched.current_slowdown(jid, now).to_bits(),
+            "stale slowdown memo for job {}",
+            jid.0
+        );
+        memo
+    }
+
+    /// Two 8-core batch jobs sharing the one reserved server, with the
+    /// co-runner pressure at full strength.
+    fn reserved_pair() -> (Scenario, RunConfig) {
+        let jobs = vec![
+            job(0, AppClass::SparkBatch, 8, 600),
+            job(1, AppClass::SparkBatch, 8, 600),
+        ];
+        let mut config = RunConfig::new(StrategyId::SR);
+        config.reserved_cores_override = Some(16);
+        config.internal_pressure_scale = 1.0;
+        (scenario_of(jobs), config)
+    }
+
+    #[test]
+    fn co_runner_start_invalidates_the_slowdown_memo() {
+        let (scenario, config) = reserved_pair();
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        for id in [0, 1] {
+            sched
+                .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+                .unwrap();
+        }
+        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+        let alone = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
+        sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+        let shared = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
+        assert!(shared > alone, "{shared} vs {alone}");
+    }
+
+    #[test]
+    fn detach_invalidates_the_slowdown_memo() {
+        // Consolidation detaches every job from its source, leaving no
+        // co-runner behind to read a memo; a finishing co-runner does.
+        let (scenario, config) = reserved_pair();
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        for id in [0, 1] {
+            sched
+                .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+                .unwrap();
+            sched.on_start(JobId(id), SimTime::ZERO, &mut events);
+        }
+        let shared = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
+        let version = sched.running_job(JobId(1)).unwrap().finish_version;
+        let t = SimTime::from_secs(60);
+        sched.on_finish(JobId(1), version, t, &mut events).unwrap();
+        let alone = fresh_memo(&mut sched, JobId(0), t);
+        assert!(alone < shared, "{alone} vs {shared}");
+    }
+
+    #[test]
+    fn attach_invalidates_the_slowdown_memo() {
+        // Consolidation moves a running job onto a pool instance whose
+        // resident job already holds a memo.
+        let jobs = vec![
+            job(0, AppClass::HadoopSvm, 2, 3600),
+            job(1, AppClass::HadoopSvm, 8, 3600),
+        ];
+        let scenario = scenario_of(jobs);
+        let mut config = RunConfig::new(StrategyId::HM);
+        config.reserved_cores_override = Some(16);
+        config.internal_pressure_scale = 1.0;
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let e0 = sched.estimate(&scenario.jobs()[0]);
+        let e1 = sched.estimate(&scenario.jobs()[1]);
+        sched.place_od_pool(0, &e0, SimTime::ZERO, SimDuration::ZERO, None, &mut events);
+        let h = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
+        let (zero, start) = (SimDuration::ZERO, SimTime::from_secs(30));
+        sched.assign(1, &e1, h, SimTime::ZERO, zero, None, &mut events);
+        sched.on_start(JobId(0), start, &mut events);
+        sched.on_start(JobId(1), start, &mut events);
+        let t = SimTime::from_secs(60);
+        let alone = fresh_memo(&mut sched, JobId(1), t);
+        sched.consolidate_od_pool(t, &mut events).unwrap();
+        assert_eq!(sched.running_job(JobId(0)).unwrap().instance, h);
+        let shared = fresh_memo(&mut sched, JobId(1), t);
+        assert!(shared > alone, "{shared} vs {alone}");
+    }
+
+    #[test]
+    fn local_boost_invalidates_the_slowdown_memo() {
+        // An LC service offered four times what its 2 cores serve at the
+        // target utilization saturates and grows on its server, which
+        // raises its batch co-runner's interference.
+        let mut lc = job(0, AppClass::Memcached, 2, 600);
+        lc.kind = JobKind::LatencyCritical {
+            offered_rps: LatencyModel::default().offered_rps_for(8),
+            lifetime: SimDuration::from_secs(600),
+        };
+        let scenario = scenario_of(vec![lc, job(1, AppClass::SparkBatch, 4, 600)]);
+        let mut config = RunConfig::new(StrategyId::SR);
+        config.reserved_cores_override = Some(16);
+        config.internal_pressure_scale = 1.0;
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        let h = sched.reserved_handles[0];
+        for (idx, cores) in [(0, 2), (1, 4)] {
+            let est = JobEstimate {
+                sensitivity: scenario.jobs()[idx].sensitivity,
+                quality: 0.5,
+                cores,
+            };
+            let zero = SimDuration::ZERO;
+            sched.assign(idx, &est, h, SimTime::ZERO, zero, None, &mut events);
+            sched.on_start(JobId(idx as u64), SimTime::ZERO, &mut events);
+        }
+        let before = fresh_memo(&mut sched, JobId(1), SimTime::ZERO);
+        let t = SimTime::from_secs(10);
+        let key = sched.running_by_id[&JobId(0)];
+        sched.update_job(JobId(0), key, t, &mut events).unwrap();
+        assert!(sched.running_job(JobId(0)).unwrap().cores > 2, "no boost");
+        let after = fresh_memo(&mut sched, JobId(1), t);
+        assert!(after > before, "{after} vs {before}");
+    }
+
+    #[test]
+    fn interference_epoch_invalidates_the_slowdown_memo() {
+        // A job alone on a small on-demand instance: only the external
+        // level, re-drawn every epoch, moves its slowdown.
+        let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 3600)]);
+        let config = RunConfig::new(StrategyId::ODM);
+        let (mut sched, mut events) = scheduler(&scenario, &config);
+        sched
+            .on_arrival(JobId(0), SimTime::ZERO, &mut events)
+            .unwrap();
+        let h = sched.running_job(JobId(0)).unwrap().instance;
+        assert!(sched.inst(h).itype.external_share() > 0.0);
+        let ready = sched.inst(h).ready_at;
+        sched.on_start(JobId(0), ready, &mut events);
+        let first = fresh_memo(&mut sched, JobId(0), ready);
+        let later = (1..100)
+            .map(|k| ready + SimDuration::from_secs(10 * k))
+            .find(|&t| sched.current_slowdown(JobId(0), t) != first)
+            .expect("the external level moves within 100 epochs");
+        assert_ne!(fresh_memo(&mut sched, JobId(0), later), first);
+    }
+
     #[test]
     fn consolidation_drains_lightly_used_pool_instances() {
         // Two od pool instances, one holding a small job: a tick should
@@ -2959,7 +3201,12 @@ mod tests {
         // A new job lands on the instance (reuse) before the retention
         // timer fires; the stale token must not release it.
         let key = fake_slot(&mut sched, h, 2, SimTime::ZERO);
-        sched.inst_mut(h).jobs.push((JobId(99), key));
+        sched.inst_mut(h).jobs.push(Colocated {
+            job: JobId(99),
+            key,
+            stamp: 0,
+            slowdown: 0.0,
+        });
         sched.inst_mut(h).retention_token += 1;
         sched.on_retention(h, token_before, SimTime::from_secs(500));
         assert!(
