@@ -2,19 +2,26 @@
 //!
 //! Reports the simulated accounting (profiling runs, classifications,
 //! reschedule rates, queued jobs) per strategy, plus wall-clock
-//! measurements of the decision-path code (classification, mapping
-//! decision, Q encoding). The Criterion bench `overheads` measures the
-//! same paths with statistical rigor.
+//! measurements of the decision-path code: classification, Q encoding,
+//! slowdown evaluation, the dynamic mapping decision, and the
+//! fair-share drain as the tenant count grows.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
+use hcloud::dynamic::DynamicLimits;
+use hcloud::mapping::{MappingContext, MappingPolicy};
+use hcloud::monitor::QualityMonitor;
+use hcloud::queue_estimator::QueueEstimator;
 use hcloud::StrategyRegistry;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_bench::{ExperimentPlan, Harness, RunSpec, Table};
+use hcloud_cloud::InstanceType;
 use hcloud_interference::{resource_quality, ResourceVector};
 use hcloud_quasar::{ProfilingEnvironment, QuasarConfig, QuasarEngine};
 use hcloud_sim::rng::{RngFactory, SimRng};
-use hcloud_sim::SimTime;
+use hcloud_sim::{SimDuration, SimTime};
+use hcloud_tenancy::{FairShare, Gate, TenancyPlan, TenantSpec};
 use hcloud_workloads::{AppClass, JobId, JobKind, JobSpec, ScenarioKind};
 
 /// This binary's entry in the experiment registry.
@@ -93,6 +100,8 @@ fn main() -> std::process::ExitCode {
     }
     let slowdown_ns = t0.elapsed().as_secs_f64() / n as f64 * 1e9;
 
+    let decision_ns = time_mapping_decision(&job, n);
+
     let mut t = Table::new(vec!["operation", "measured", "paper budget"]);
     t.row(vec![
         "profile + classify (fold-in)".into(),
@@ -109,8 +118,84 @@ fn main() -> std::process::ExitCode {
         format!("{slowdown_ns:.0} ns"),
         "(part of decisions <20 ms)".into(),
     ]);
+    t.row(vec![
+        "dynamic mapping decision".into(),
+        format!("{decision_ns:.0} ns"),
+        "decisions <20 ms".into(),
+    ]);
+    for tenants in [200, 2_000, 20_000] {
+        t.row(vec![
+            format!("fair-share drain, {tenants} tenants"),
+            format!("{:.0} ns", time_fair_share_drain(tenants, n)),
+            "(extension; flat in tenants)".into(),
+        ]);
+    }
     println!("{t}");
     println!("All decision-path operations sit orders of magnitude below the");
     println!("10-20 s spin-up overheads they are compared against in Section 4.2.");
     h.finish("tab_overheads")
+}
+
+/// Mean wall clock of one dynamic (P8) mapping decision, in ns, against
+/// a warm queue estimator and a 72%-utilized reserved pool.
+fn time_mapping_decision(job: &JobSpec, n: usize) -> f64 {
+    let monitor = QualityMonitor::default();
+    let limits = DynamicLimits::default();
+    let mut estimator = QueueEstimator::default();
+    for k in 0..100u64 {
+        estimator.record_release(4, SimTime::from_secs(k));
+    }
+    let mut rng = SimRng::from_seed_u64(3);
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let ctx = MappingContext {
+            reserved_utilization: 0.72,
+            job_quality: job.quality_requirement(),
+            od_itype: InstanceType::standard(4),
+            job_cores: 4,
+            queue_len: 3,
+            expected_spinup_large: SimDuration::from_secs(18),
+            monitor: &monitor,
+            limits: &limits,
+            queue_estimator: &estimator,
+            now: SimTime::from_secs(100),
+        };
+        std::hint::black_box(MappingPolicy::Dynamic.decide(&ctx, &mut rng));
+    }
+    t0.elapsed().as_secs_f64() / n as f64 * 1e9
+}
+
+/// Mean wall clock, in ns, of the scheduler's fair-share finish path —
+/// release a running job, drain the gate, re-gate the released job —
+/// with 8 backlogged tenants among `tenants`. The drain visits only the
+/// backlogged tenants, so this should stay flat as `tenants` grows.
+fn time_fair_share_drain(tenants: u64, n: usize) -> f64 {
+    const HOT: u64 = 8;
+    const JOBS_PER_HOT: u64 = 6;
+    const CORES: u32 = 4;
+    // A 32-core pool and 8-core guarantees: the hot tenants' demand
+    // always exceeds the pool, so they stay backlogged and needy.
+    let mut plan = TenancyPlan::new(32);
+    for id in 0..tenants {
+        plan = plan.tenant(TenantSpec::new(id, 1.0, 8, 32));
+    }
+    // Hot tenants spread across the id range.
+    for job in 0..HOT * JOBS_PER_HOT {
+        plan.assign(job, job / JOBS_PER_HOT * (tenants / HOT));
+    }
+    let mut fair = FairShare::new(&plan);
+    let now = SimTime::ZERO;
+    let mut running: VecDeque<u64> = (0..HOT * JOBS_PER_HOT)
+        .filter(|&job| matches!(fair.gate(job, CORES, now), Gate::Admit { .. }))
+        .collect();
+    let t0 = Instant::now();
+    for _ in 0..n {
+        let done = running.pop_front().expect("the pool stays full");
+        fair.release(done);
+        running.extend(fair.drain(now).iter().map(|r| r.job));
+        if let Gate::Admit { .. } = fair.gate(done, CORES, now) {
+            running.push_back(done);
+        }
+    }
+    t0.elapsed().as_secs_f64() / n as f64 * 1e9
 }

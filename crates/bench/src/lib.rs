@@ -1,8 +1,8 @@
 //! # hcloud-bench — the benchmark harness
 //!
-//! One binary per table and figure of the HCloud paper (see `src/bin/`),
-//! plus Criterion micro-benchmarks for the Section 5.2 overheads
-//! (`benches/overheads.rs`). This library holds the shared plumbing:
+//! One binary per table and figure of the HCloud paper (see `src/bin/`);
+//! `tab_overheads` also times the Section 5.2 decision-path overheads.
+//! This library holds the shared plumbing:
 //!
 //! * [`engine`] — the parallel experiment engine: typed [`RunSpec`]
 //!   points submitted as an [`ExperimentPlan`], fanned out across a

@@ -16,6 +16,7 @@ use hcloud_json::{ObjectBuilder, Value};
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::{SimDuration, SimTime};
+use hcloud_telemetry::{TraceKind, Tracer};
 use hcloud_tenancy::{QueueState, TenancyPlan, TenantSpec};
 use hcloud_workloads::{
     AppClass, DemandCurve, JobId, JobKind, JobSpec, LatencyModel, Scenario, ScenarioConfig,
@@ -801,8 +802,7 @@ fn run_one(common: &Common, options: &RunOptions) -> Result<(), String> {
     };
     let mut config = RunConfig::new(&options.strategy)
         .with_policy(options.policy)
-        .with_profiling(options.profiling)
-        .with_record_decisions(options.explain);
+        .with_profiling(options.profiling);
     // An explicit --spot bid wins over the scenario file's spot section.
     if let Some(bid) = options.spot_bid {
         config = config.with_spot(SpotPolicy {
@@ -814,7 +814,14 @@ fn run_one(common: &Common, options: &RunOptions) -> Result<(), String> {
     }
     let model = pricing_model(&options.pricing);
     let factory = RngFactory::new(common.seed);
-    let r = run_scenario(&scenario, &config, &RunCtx::new(&factory)).expect("no auditor attached");
+    // `--explain` reads the placement decisions off the run's trace.
+    let tracer = if options.explain {
+        Tracer::enabled()
+    } else {
+        Tracer::disabled()
+    };
+    let ctx = RunCtx::new(&factory).with_tracer(&tracer);
+    let r = run_scenario(&scenario, &config, &ctx).expect("no auditor attached");
     summarize(
         &format!("{} on {}", options.strategy.clone(), scenario.kind().name()),
         &r,
@@ -822,23 +829,37 @@ fn run_one(common: &Common, options: &RunOptions) -> Result<(), String> {
     );
     if options.explain {
         use std::collections::BTreeMap;
-        let mut by_reason: BTreeMap<String, usize> = BTreeMap::new();
-        for d in &r.decisions {
-            *by_reason.entry(d.reason.to_string()).or_default() += 1;
+        let decisions: Vec<_> = tracer
+            .take()
+            .into_iter()
+            .filter_map(|ev| match ev.kind {
+                TraceKind::Decision {
+                    job,
+                    reason,
+                    quality_target,
+                    utilization,
+                    ..
+                } => Some((ev.at, JobId(job), reason, quality_target, utilization)),
+                _ => None,
+            })
+            .collect();
+        let mut by_reason: BTreeMap<&str, usize> = BTreeMap::new();
+        for (_, _, reason, _, _) in &decisions {
+            *by_reason.entry(reason).or_default() += 1;
         }
         println!("  placement decisions:");
         for (reason, n) in &by_reason {
             println!("    {reason:<24} {n}");
         }
         println!("  first ten decisions:");
-        for d in r.decisions.iter().take(10) {
+        for (at, job, reason, quality_target, utilization) in decisions.iter().take(10) {
             println!(
                 "    {} @ {:.1}s  QT={:.2}  util={:.0}%  -> {}",
-                d.job,
-                d.at.as_secs_f64(),
-                d.estimated_quality,
-                d.reserved_utilization * 100.0,
-                d.reason
+                job,
+                at.as_secs_f64(),
+                quality_target,
+                utilization * 100.0,
+                reason
             );
         }
     }

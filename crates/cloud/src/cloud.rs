@@ -211,19 +211,19 @@ impl Cloud {
     /// The provider profile's variability multipliers are applied to the
     /// external-load model once, here.
     pub fn new(config: CloudConfig, factory: RngFactory) -> Self {
-        Cloud::with_tracer(config, factory, Tracer::disabled())
+        Cloud::with_instruments(
+            config,
+            factory,
+            Tracer::disabled(),
+            FaultInjector::disabled(),
+        )
     }
 
     /// Like [`Cloud::new`], but instance-lifecycle events (spin-up,
-    /// release) are recorded into `tracer`.
-    pub fn with_tracer(config: CloudConfig, factory: RngFactory, tracer: Tracer) -> Self {
-        Cloud::with_instruments(config, factory, tracer, FaultInjector::disabled())
-    }
-
-    /// Like [`Cloud::with_tracer`], but acquisitions, spin-ups, spot
-    /// terminations and delivered quality are additionally subject to the
-    /// given fault injector. A disabled injector consumes no randomness
-    /// and leaves every code path byte-identical to [`Cloud::new`].
+    /// release) are recorded into `tracer`, and acquisitions, spin-ups,
+    /// spot terminations and delivered quality are subject to the given
+    /// fault injector. A disabled injector consumes no randomness and
+    /// leaves every code path byte-identical to [`Cloud::new`].
     pub fn with_instruments(
         config: CloudConfig,
         factory: RngFactory,

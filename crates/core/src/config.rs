@@ -132,9 +132,6 @@ pub struct RunConfig {
     /// both resource pools share one physical cluster, like the paper's
     /// evaluation.
     pub data: Option<DataLocalityModel>,
-    /// Record a per-job placement audit trail in the result (off by
-    /// default; sweeps don't need the memory).
-    pub record_decisions: bool,
     /// Fault-injection plan (preemption storms, spin-up faults, capacity
     /// errors, stragglers, monitor dropouts). The off plan injects
     /// nothing and consumes no randomness, reproducing fault-free runs
@@ -164,7 +161,6 @@ impl RunConfig {
             spot: None,
             dynamic_limits: None,
             data: None,
-            record_decisions: false,
             faults: FaultPlan::off(),
         }
     }
@@ -256,12 +252,6 @@ impl RunConfig {
     /// Records per-instance utilization samples (Figures 19–20).
     pub fn with_record_utilization(mut self, record: bool) -> RunConfig {
         self.record_utilization = record;
-        self
-    }
-
-    /// Records the per-job placement audit trail (`--explain`).
-    pub fn with_record_decisions(mut self, record: bool) -> RunConfig {
-        self.record_decisions = record;
         self
     }
 

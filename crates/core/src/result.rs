@@ -156,21 +156,6 @@ impl std::fmt::Display for PlacementReason {
     }
 }
 
-/// One recorded placement decision (`RunConfig::record_decisions`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementDecision {
-    /// The job.
-    pub job: JobId,
-    /// When the decision was taken.
-    pub at: SimTime,
-    /// The estimated quality requirement the decision saw.
-    pub estimated_quality: f64,
-    /// Reserved utilization at decision time.
-    pub reserved_utilization: f64,
-    /// Why the job went where it went.
-    pub reason: PlacementReason,
-}
-
 /// One queueing-time estimate vs its measured outcome (Figure 9 right).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaitSample {
@@ -220,8 +205,6 @@ pub struct RunResult {
     pub utilization_samples: Vec<UtilizationSample>,
     /// Overhead counters (Section 5.2).
     pub counters: RunCounters,
-    /// Placement audit trail (empty unless `RunConfig::record_decisions`).
-    pub decisions: Vec<PlacementDecision>,
     /// Per-tenant fair-share statistics, ascending by tenant id (empty
     /// unless the scenario carries a tenancy plan).
     pub tenant_stats: Vec<TenantStat>,
@@ -409,7 +392,6 @@ mod tests {
             wait_samples: vec![],
             utilization_samples: vec![],
             counters: RunCounters::default(),
-            decisions: vec![],
             tenant_stats: vec![],
         }
     }

@@ -5,8 +5,9 @@
 //! completion and returning the [`RunResult`] every figure binary
 //! aggregates. What used to be three entry points (plain / traced /
 //! instrumented) is now one: a [`RunCtx`] carries the rng factory plus the
-//! optional [`Tracer`] and conservation [`Auditor`], so callers opt into
-//! instrumentation by attaching it rather than by picking a function.
+//! [`Tracer`], conservation [`Auditor`] and [`Profiler`] handles, disabled
+//! unless attached, so callers opt into instrumentation by attaching it
+//! rather than by picking a function.
 //!
 //! The event loop itself is batched: [`run_scenario`] drains every event
 //! sharing the current timestamp in one call against the timing-wheel
@@ -32,7 +33,8 @@ use crate::scheduler::{Event, Scheduler};
 const PROGRESS_EVERY: usize = 4096;
 
 /// Everything a run needs besides the scenario and config: the rng factory
-/// that makes it deterministic, plus optional instrumentation.
+/// that makes it deterministic, plus the instrumentation handles, each
+/// disabled until attached.
 ///
 /// ```
 /// use hcloud::runner::RunCtx;
@@ -44,12 +46,12 @@ const PROGRESS_EVERY: usize = 4096;
 /// let ctx = RunCtx::new(&factory).with_tracer(&tracer);
 /// # let _ = ctx;
 /// ```
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct RunCtx<'a> {
     factory: &'a RngFactory,
-    tracer: Option<&'a Tracer>,
-    auditor: Option<&'a Auditor>,
-    profiler: Option<&'a Profiler>,
+    tracer: Tracer,
+    auditor: Auditor,
+    profiler: Profiler,
 }
 
 impl<'a> RunCtx<'a> {
@@ -57,17 +59,17 @@ impl<'a> RunCtx<'a> {
     pub fn new(factory: &'a RngFactory) -> Self {
         Self {
             factory,
-            tracer: None,
-            auditor: None,
-            profiler: None,
+            tracer: Tracer::disabled(),
+            auditor: Auditor::disabled(),
+            profiler: Profiler::disabled(),
         }
     }
 
     /// Attach a [`Tracer`]: every instrumented decision in the scheduler,
     /// cloud and event loop lands in it, stamped with sim time. Tracing
     /// never perturbs simulation outcomes.
-    pub fn with_tracer(mut self, tracer: &'a Tracer) -> Self {
-        self.tracer = Some(tracer);
+    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
+        self.tracer = tracer.clone();
         self
     }
 
@@ -79,8 +81,8 @@ impl<'a> RunCtx<'a> {
     /// == billed instance-seconds, queue and job conservation,
     /// per-instance core leaks) are checked against the finished
     /// [`RunResult`].
-    pub fn with_auditor(mut self, auditor: &'a Auditor) -> Self {
-        self.auditor = Some(auditor);
+    pub fn with_auditor(mut self, auditor: &Auditor) -> Self {
+        self.auditor = auditor.clone();
         self
     }
 
@@ -89,8 +91,8 @@ impl<'a> RunCtx<'a> {
     /// wall clock to its per-subsystem spans. Operation counts are
     /// deterministic; wall clock is machine-dependent. Profiling never
     /// perturbs simulation outcomes.
-    pub fn with_profiler(mut self, profiler: &'a Profiler) -> Self {
-        self.profiler = Some(profiler);
+    pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
+        self.profiler = profiler.clone();
         self
     }
 
@@ -161,12 +163,7 @@ pub fn run_scenario(
     config: &RunConfig,
     ctx: &RunCtx,
 ) -> Result<RunResult, AuditViolation> {
-    let disabled_tracer = Tracer::disabled();
-    let tracer = ctx.tracer.unwrap_or(&disabled_tracer);
-    let disabled_auditor = Auditor::disabled();
-    let auditor = ctx.auditor.unwrap_or(&disabled_auditor);
-    let disabled_profiler = Profiler::disabled();
-    let profiler = ctx.profiler.unwrap_or(&disabled_profiler);
+    let (tracer, auditor, profiler) = (&ctx.tracer, &ctx.auditor, &ctx.profiler);
     let mut sched = Scheduler::with_instruments(
         scenario,
         config,

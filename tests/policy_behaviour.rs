@@ -126,33 +126,41 @@ fn wait_estimates_are_conservative_overall() {
 #[test]
 fn decision_trail_is_recorded_on_request() {
     use hcloud::result::PlacementReason;
+    use hcloud_telemetry::{TraceKind, Tracer};
     let s = scenario();
-    let mut config = RunConfig::new(StrategyId::HM);
-    config.record_decisions = true;
-    let r =
-        run_scenario(&s, &config, &RunCtx::new(&RngFactory::new(11))).expect("no auditor attached");
-    assert_eq!(r.decisions.len(), s.jobs().len(), "one decision per job");
-    // Reasons must be internally consistent with what the run did.
-    let queued = r
-        .decisions
-        .iter()
-        .filter(|d| d.reason == PlacementReason::QueuedAtHardLimit)
-        .count();
-    assert!(queued <= r.counters.queued_jobs, "{queued} vs counter");
-    assert!(r
-        .decisions
-        .iter()
-        .any(|d| d.reason == PlacementReason::BelowSoftLimit));
-    for d in &r.decisions {
-        assert!((0.0..=1.0).contains(&d.estimated_quality));
-        assert!(d.reserved_utilization >= 0.0);
-    }
-    // Off by default.
+    let tracer = Tracer::enabled();
     let r = run_scenario(
         &s,
         &RunConfig::new(StrategyId::HM),
-        &RunCtx::new(&RngFactory::new(11)),
+        &RunCtx::new(&RngFactory::new(11)).with_tracer(&tracer),
     )
     .expect("no auditor attached");
-    assert!(r.decisions.is_empty());
+    // (reason, quality target, reserved utilization) of every decision.
+    let decisions: Vec<(String, f64, f64)> = tracer
+        .take()
+        .into_iter()
+        .filter_map(|ev| match ev.kind {
+            TraceKind::Decision {
+                reason,
+                quality_target,
+                utilization,
+                ..
+            } => Some((reason, quality_target, utilization)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decisions.len(), s.jobs().len(), "one decision per job");
+    // Reasons must be internally consistent with what the run did.
+    let queued = decisions
+        .iter()
+        .filter(|d| d.0 == PlacementReason::QueuedAtHardLimit.to_string())
+        .count();
+    assert!(queued <= r.counters.queued_jobs, "{queued} vs counter");
+    assert!(decisions
+        .iter()
+        .any(|d| d.0 == PlacementReason::BelowSoftLimit.to_string()));
+    for (_, quality, utilization) in &decisions {
+        assert!((0.0..=1.0).contains(quality));
+        assert!(*utilization >= 0.0);
+    }
 }
