@@ -28,16 +28,21 @@ use hcloud_bench::{artifacts, ExperimentCtx};
 use hcloud_cloud::InstanceType;
 use hcloud_json::{ObjectBuilder, Value};
 use hcloud_sim::rng::RngFactory;
+use hcloud_sim::stats::percentile;
 use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
 
 /// Timing repetitions per strategy; the minimum is reported.
 const REPS: usize = 3;
 
+/// Repetitions of the quantile churn; the median is reported, so one slow
+/// phase of a shared host does not decide the CI guard.
+const CHURN_REPS: usize = 5;
+
 /// Micro-benchmark of the quantile hot path exactly as the scheduler
 /// drives it: the QoS monitor absorbs one delivered-quality sample and
-/// answers one `Q90` query per tick. Pre-index this clones + sorts the
-/// full 512-sample window per query; post-index it is an O(log n)
-/// order-statistics read — the delta is the `QuantileSet` payoff.
+/// answers one `Q90` query per tick. Pre-index this cloned + sorted the
+/// full 512-sample window per query; now a sample is one ordered insert
+/// and eviction in the window's sorted copy, and a `Q90` indexes it.
 fn quantile_churn_ms(samples: usize) -> f64 {
     let mut rng = hcloud_sim::rng::SimRng::from_seed_u64(42);
     use rand::Rng;
@@ -113,8 +118,9 @@ fn main() -> ExitCode {
         );
     }
 
-    let churn = quantile_churn_ms(200_000);
-    eprintln!("[perf_hotpath] quantile-churn(200k monitor records + q90 reads) {churn:.1} ms");
+    let churn_reps: [f64; CHURN_REPS] = std::array::from_fn(|_| quantile_churn_ms(200_000));
+    let churn = percentile(&churn_reps, 50.0).expect("CHURN_REPS is positive");
+    eprintln!("[perf_hotpath] quantile-churn(200k records + q90 reads) median {churn:.1} ms");
     eprintln!("[perf_hotpath] total {total_ms:.1} ms");
 
     let doc = ObjectBuilder::new()

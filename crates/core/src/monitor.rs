@@ -23,10 +23,11 @@ use hcloud_sim::stats::RollingQuantiles;
 
 /// Rolling quality observations per instance type.
 ///
-/// Each per-type window is a [`RollingQuantiles`]: `record` is O(log n)
-/// and `q90` reads the exact 10th percentile from the maintained
-/// order-statistics tree instead of cloning + sorting the window on every
-/// query (the scheduler asks per placement decision).
+/// Each per-type window is a [`RollingQuantiles`], which keeps a sorted
+/// copy of its samples: `record` is one ordered insert and eviction, and
+/// `q90` reads the exact 10th percentile from that copy instead of
+/// cloning + sorting the window on every query (the scheduler asks per
+/// placement decision).
 #[derive(Debug, Clone)]
 pub struct QualityMonitor {
     window: usize,

@@ -20,8 +20,8 @@ use hcloud_sim::{SimDuration, SimTime};
 /// Rolling release-interval statistics per requested core size.
 ///
 /// Interval and wait windows are [`RollingQuantiles`], so the
-/// high-quantile reads in [`QueueEstimator::estimate_wait`] are O(log n)
-/// order-statistics lookups instead of a clone + sort per query.
+/// high-quantile reads in [`QueueEstimator::estimate_wait`] index a
+/// sorted copy of the window instead of cloning + sorting per query.
 #[derive(Debug, Clone)]
 pub struct QueueEstimator {
     window: usize,

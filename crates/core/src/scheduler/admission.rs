@@ -425,7 +425,7 @@ impl<'a> Scheduler<'a> {
                         job: self.scenario.jobs()[qj.spec_idx].id.0,
                         cores: qj.est.cores,
                         estimated_wait_us: qj.estimated_wait.map(|d| d.as_micros()),
-                        actual_wait_us: now.saturating_since(qj.enqueued).as_micros(),
+                        actual_wait_us: wait.as_micros(),
                         relieved: true,
                     }
                 );

@@ -269,8 +269,8 @@ impl<'a> Scheduler<'a> {
     // ------------------------------------------------------------------
 
     /// Feeds the quality monitor one delivered-quality sample per ready
-    /// live on-demand instance — the per-tick quantile churn that the
-    /// `QuantileSet` made incremental, and what the
+    /// live on-demand instance — the per-tick quantile churn that
+    /// `RollingQuantiles` keeps incremental, and what the
     /// [`ProfSpan::MonitorQuantiles`] span times.
     fn sample_delivered_quality(&mut self, now: SimTime) {
         // `live_od` iterates ascending by index — the same order the

@@ -13,9 +13,10 @@
 //!   cannot afford to keep every sample;
 //! * [`SortedSample`] — sort once, answer every batch statistic from the
 //!   shared buffer;
-//! * [`QuantileSet`] — incremental order statistics: O(log n) insert and
-//!   remove with exact percentile reads, for windows queried per event.
+//! * [`RollingQuantiles`] — a bounded FIFO window kept sorted beside its
+//!   arrival order, for exact percentile reads on every event.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Computes the `p`-th percentile (`0 ≤ p ≤ 100`) of `values` using linear
@@ -157,8 +158,8 @@ impl SortedSample {
     }
 
     /// The `p`-th percentile (`0 ≤ p ≤ 100`), linear interpolation;
-    /// `None` on an empty sample, matching [`QuantileSet::percentile`]
-    /// and [`RollingQuantiles::percentile`]. (Construction rejects empty
+    /// `None` on an empty sample, matching
+    /// [`RollingQuantiles::percentile`]. (Construction rejects empty
     /// input, so a sample obtained via [`SortedSample::from_values`]
     /// always answers `Some` — the `Option` exists so every percentile
     /// read in the crate has one signature and callers can't forget the
@@ -413,350 +414,37 @@ impl OnlineStats {
     }
 }
 
-/// Sentinel child index for [`QuantileSet`] tree nodes.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone)]
-struct TreapNode {
-    key: f64,
-    prio: u64,
-    /// Multiplicity of `key` (duplicates collapse into one node).
-    count: u32,
-    /// Total multiset size of this subtree (including multiplicities).
-    size: usize,
-    left: u32,
-    right: u32,
-}
-
-/// An incremental order-statistics multiset: O(log n) insert and
-/// remove-by-value, exact percentile reads without cloning or sorting.
+/// A bounded rolling window with exact quantile reads.
 ///
-/// This is the container behind the QoS monitor's `Q90` and the queueing
-/// estimator's interval quantiles: both keep a rolling window that is
-/// queried on *every* insertion, where clone-and-sort costs O(n log n)
-/// per event. `QuantileSet` is a treap whose priorities are a
-/// deterministic hash of the value bits — the tree shape depends only on
-/// the set of values present, never on wall clock or a global RNG, so
-/// simulations stay bit-reproducible.
+/// Holds the window twice: a FIFO in arrival order, which decides what
+/// `push` evicts once the window is full, and the same values sorted by
+/// [`f64::total_cmp`], which [`percentile`](RollingQuantiles::percentile)
+/// reads through [`percentile_sorted`] without cloning or sorting. A push
+/// is two binary searches plus at most one `Vec::remove` and one
+/// `Vec::insert`, O(cap); a read is O(1). This is the container behind
+/// the QoS monitor's per-type quality windows and the queueing
+/// estimator's interval and wait windows, which are read on every event.
 ///
-/// [`QuantileSet::percentile`] reproduces [`percentile_sorted`] exactly
-/// (same rank arithmetic, same interpolation expression), so porting a
-/// clone-and-sort call site to this container cannot change a single
-/// output bit.
+/// `total_cmp` keeps `-0.0` and `0.0` apart and orders `-0.0` first; for
+/// every other value the order is the usual one.
 ///
 /// ```
-/// use hcloud_sim::stats::QuantileSet;
-/// let mut q = QuantileSet::new();
+/// use hcloud_sim::stats::RollingQuantiles;
+/// let mut w = RollingQuantiles::new(3);
 /// for v in [4.0, 1.0, 3.0, 2.0] {
-///     q.insert(v);
+///     w.push(v);
 /// }
-/// assert_eq!(q.percentile(50.0), Some(2.5));
-/// assert!(q.remove(4.0));
-/// assert_eq!(q.percentile(100.0), Some(3.0));
+/// // 4.0 was evicted: the window is [1, 3, 2].
+/// assert_eq!(w.percentile(50.0), Some(2.0));
+/// assert_eq!(w.percentile(100.0), Some(3.0));
+/// assert_eq!(w.iter().collect::<Vec<_>>(), [1.0, 3.0, 2.0]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct QuantileSet {
-    nodes: Vec<TreapNode>,
-    free: Vec<u32>,
-    root: u32,
-}
-
-impl Default for QuantileSet {
-    fn default() -> Self {
-        QuantileSet::new()
-    }
-}
-
-impl QuantileSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        QuantileSet {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-        }
-    }
-
-    /// Deterministic node priority: a splitmix64 finalizer over the value
-    /// bits. Equal values share one node, so ties never arise from
-    /// duplicates; distinct values colliding on priority is harmless (the
-    /// comparison below is still deterministic).
-    fn prio_for(key: f64) -> u64 {
-        let mut z = key.to_bits().wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Total number of values held (counting duplicates).
-    pub fn len(&self) -> usize {
-        self.subtree_size(self.root)
-    }
-
-    /// Whether the set holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.root == NIL
-    }
-
-    /// Removes every value.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
-    }
-
-    /// Inserts one occurrence of `value`.
-    ///
-    /// # Panics
-    /// Panics if `value` is NaN (a NaN would poison every ordering query).
-    pub fn insert(&mut self, value: f64) {
-        assert!(!value.is_nan(), "NaN inserted into QuantileSet");
-        let root = self.root;
-        self.root = self.insert_at(root, value);
-    }
-
-    /// Removes one occurrence of `value`; returns whether it was present.
-    pub fn remove(&mut self, value: f64) -> bool {
-        if value.is_nan() {
-            return false;
-        }
-        let mut removed = false;
-        let root = self.root;
-        self.root = self.remove_at(root, value, &mut removed);
-        removed
-    }
-
-    /// The `k`-th smallest value (0-based, duplicates counted);
-    /// `None` when `k >= len()`.
-    pub fn kth(&self, k: usize) -> Option<f64> {
-        if k >= self.len() {
-            return None;
-        }
-        let mut t = self.root;
-        let mut k = k;
-        loop {
-            let node = &self.nodes[t as usize];
-            let left = self.subtree_size(node.left);
-            if k < left {
-                t = node.left;
-            } else if k < left + node.count as usize {
-                return Some(node.key);
-            } else {
-                k -= left + node.count as usize;
-                t = node.right;
-            }
-        }
-    }
-
-    /// The `p`-th percentile (`0 ≤ p ≤ 100`) with linear interpolation —
-    /// bit-identical to [`percentile_sorted`] over the same multiset.
-    /// Returns `None` when empty.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!(
-            (0.0..=100.0).contains(&p),
-            "percentile must be in [0,100], got {p}"
-        );
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        if n == 1 {
-            return self.kth(0);
-        }
-        let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            self.kth(lo)
-        } else {
-            let frac = rank - lo as f64;
-            let a = self.kth(lo).expect("lo < len");
-            let b = self.kth(hi).expect("hi < len");
-            Some(a * (1.0 - frac) + b * frac)
-        }
-    }
-
-    /// Smallest value; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.kth(0)
-    }
-
-    /// Largest value; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.len().checked_sub(1).and_then(|k| self.kth(k))
-    }
-
-    fn subtree_size(&self, t: u32) -> usize {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].size
-        }
-    }
-
-    fn update(&mut self, t: u32) {
-        let (l, r, c) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right, n.count)
-        };
-        self.nodes[t as usize].size = c as usize + self.subtree_size(l) + self.subtree_size(r);
-    }
-
-    fn alloc(&mut self, key: f64) -> u32 {
-        let node = TreapNode {
-            key,
-            prio: Self::prio_for(key),
-            count: 1,
-            size: 1,
-            left: NIL,
-            right: NIL,
-        };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
-    /// Rotation pulling the left child above `t`; returns the new root.
-    fn rotate_right(&mut self, t: u32) -> u32 {
-        let l = self.nodes[t as usize].left;
-        self.nodes[t as usize].left = self.nodes[l as usize].right;
-        self.nodes[l as usize].right = t;
-        self.update(t);
-        self.update(l);
-        l
-    }
-
-    /// Rotation pulling the right child above `t`; returns the new root.
-    fn rotate_left(&mut self, t: u32) -> u32 {
-        let r = self.nodes[t as usize].right;
-        self.nodes[t as usize].right = self.nodes[r as usize].left;
-        self.nodes[r as usize].left = t;
-        self.update(t);
-        self.update(r);
-        r
-    }
-
-    fn insert_at(&mut self, t: u32, key: f64) -> u32 {
-        if t == NIL {
-            return self.alloc(key);
-        }
-        let node_key = self.nodes[t as usize].key;
-        match key.partial_cmp(&node_key).expect("NaN rejected at insert") {
-            std::cmp::Ordering::Equal => {
-                self.nodes[t as usize].count += 1;
-                self.nodes[t as usize].size += 1;
-                t
-            }
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[t as usize].left;
-                let new_left = self.insert_at(left, key);
-                self.nodes[t as usize].left = new_left;
-                self.update(t);
-                if self.nodes[new_left as usize].prio > self.nodes[t as usize].prio {
-                    self.rotate_right(t)
-                } else {
-                    t
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[t as usize].right;
-                let new_right = self.insert_at(right, key);
-                self.nodes[t as usize].right = new_right;
-                self.update(t);
-                if self.nodes[new_right as usize].prio > self.nodes[t as usize].prio {
-                    self.rotate_left(t)
-                } else {
-                    t
-                }
-            }
-        }
-    }
-
-    fn remove_at(&mut self, t: u32, key: f64, removed: &mut bool) -> u32 {
-        if t == NIL {
-            return NIL;
-        }
-        let node_key = self.nodes[t as usize].key;
-        match key.partial_cmp(&node_key).expect("NaN rejected at remove") {
-            std::cmp::Ordering::Equal => {
-                *removed = true;
-                if self.nodes[t as usize].count > 1 {
-                    self.nodes[t as usize].count -= 1;
-                    self.nodes[t as usize].size -= 1;
-                    return t;
-                }
-                let (l, r) = {
-                    let n = &self.nodes[t as usize];
-                    (n.left, n.right)
-                };
-                self.free.push(t);
-                self.merge_treap(l, r)
-            }
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[t as usize].left;
-                let new_left = self.remove_at(left, key, removed);
-                self.nodes[t as usize].left = new_left;
-                if *removed {
-                    self.update(t);
-                }
-                t
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[t as usize].right;
-                let new_right = self.remove_at(right, key, removed);
-                self.nodes[t as usize].right = new_right;
-                if *removed {
-                    self.update(t);
-                }
-                t
-            }
-        }
-    }
-
-    /// Merges two treaps where every key in `a` precedes every key in `b`.
-    fn merge_treap(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio > self.nodes[b as usize].prio {
-            let ar = self.nodes[a as usize].right;
-            let m = self.merge_treap(ar, b);
-            self.nodes[a as usize].right = m;
-            self.update(a);
-            a
-        } else {
-            let bl = self.nodes[b as usize].left;
-            let m = self.merge_treap(a, bl);
-            self.nodes[b as usize].left = m;
-            self.update(b);
-            b
-        }
-    }
-}
-
-/// A bounded rolling window with O(log n) exact quantile reads.
-///
-/// Couples a FIFO eviction buffer with a [`QuantileSet`]: `push` evicts
-/// the oldest sample once the window is full, and [`percentile`]
-/// (`RollingQuantiles::percentile`) answers from the order-statistics tree
-/// without cloning or sorting. This is the container behind the QoS
-/// monitor's per-type quality windows and the queueing estimator's
-/// release-interval windows, both of which are queried on every event.
 #[derive(Debug, Clone)]
 pub struct RollingQuantiles {
     cap: usize,
-    buf: std::collections::VecDeque<f64>,
-    set: QuantileSet,
+    buf: VecDeque<f64>,
+    /// `buf`'s contents ordered by `f64::total_cmp`.
+    sorted: Vec<f64>,
 }
 
 impl RollingQuantiles {
@@ -768,23 +456,32 @@ impl RollingQuantiles {
         assert!(cap > 0, "rolling window must be positive");
         RollingQuantiles {
             cap,
-            buf: std::collections::VecDeque::with_capacity(cap),
-            set: QuantileSet::new(),
+            buf: VecDeque::with_capacity(cap + 1),
+            sorted: Vec::with_capacity(cap),
         }
     }
 
     /// Records one sample, evicting the oldest when the window is full.
     ///
     /// # Panics
-    /// Panics if `value` is NaN.
+    /// Panics if `value` is NaN (a NaN would poison every percentile).
     pub fn push(&mut self, value: f64) {
-        if self.buf.len() == self.cap {
-            let old = self.buf.pop_front().expect("window full implies non-empty");
-            let evicted = self.set.remove(old);
-            debug_assert!(evicted, "window and tree out of sync");
-        }
-        self.set.insert(value);
+        assert!(!value.is_nan(), "NaN pushed into RollingQuantiles");
         self.buf.push_back(value);
+        if self.buf.len() > self.cap {
+            let old = self.buf.pop_front().expect("overfull window is non-empty");
+            // Equal values are bit-identical: a repeat leaves the sorted copy
+            // as it is, and otherwise evicting the last copy of `old` shifts
+            // nothing when it is the largest value (a full server's 1.0).
+            if old.to_bits() == value.to_bits() {
+                return;
+            }
+            let at = self.sorted.partition_point(|x| x.total_cmp(&old).is_le()) - 1;
+            debug_assert_eq!(self.sorted[at].to_bits(), old.to_bits(), "out of sync");
+            self.sorted.remove(at);
+        }
+        let at = self.sorted.partition_point(|x| x.total_cmp(&value).is_le());
+        self.sorted.insert(at, value);
     }
 
     /// Number of samples currently held.
@@ -800,8 +497,11 @@ impl RollingQuantiles {
     /// The `p`-th percentile (`0 ≤ p ≤ 100`) of the window; `None` when
     /// empty. Bit-identical to sorting the window and calling
     /// [`percentile_sorted`].
+    ///
+    /// # Panics
+    /// Panics if the window is non-empty and `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        self.set.percentile(p)
+        (!self.sorted.is_empty()).then(|| percentile_sorted(&self.sorted, p))
     }
 
     /// The samples in insertion order (oldest first).
@@ -946,67 +646,62 @@ mod tests {
     #[test]
     fn empty_percentile_semantics_are_uniform() {
         assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(QuantileSet::new().percentile(50.0), None);
         assert_eq!(RollingQuantiles::new(4).percentile(50.0), None);
         let s = SortedSample::from_values(&[2.0]).unwrap();
         assert_eq!(s.percentile(50.0), Some(2.0));
     }
 
     #[test]
-    fn quantile_set_empty() {
-        let q = QuantileSet::new();
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        assert_eq!(q.percentile(50.0), None);
-        assert_eq!(q.kth(0), None);
-        assert_eq!(q.min(), None);
-        assert_eq!(q.max(), None);
-    }
-
-    #[test]
-    fn quantile_set_matches_percentile_sorted() {
-        // Pseudo-random-ish but fixed values with duplicates.
-        let values: Vec<f64> = (0..200).map(|i| ((i * 37) % 83) as f64 / 7.0).collect();
-        let mut q = QuantileSet::new();
-        for &v in &values {
-            q.insert(v);
+    fn rolling_quantiles_evicts_and_matches_sorted_window() {
+        // The monitor's usage pattern: a bounded window read after every
+        // push. Thirteen distinct values in a window of 8 make duplicates
+        // common, so eviction must drop exactly one copy of a repeated
+        // value.
+        let mut w = RollingQuantiles::new(8);
+        let mut reference = VecDeque::new();
+        for i in 0..100u64 {
+            let v = (((i * 7919) % 13) as f64) / 13.0;
+            if reference.len() == 8 {
+                reference.pop_front();
+            }
+            reference.push_back(v);
+            w.push(v);
+            assert_eq!(w.len(), reference.len());
+            let mut sorted: Vec<f64> = reference.iter().copied().collect();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.0, 10.0, 50.0, 90.0, 100.0] {
+                assert_eq!(
+                    w.percentile(p),
+                    Some(percentile_sorted(&sorted, p)),
+                    "step {i}, p{p}"
+                );
+            }
         }
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (k, &v) in sorted.iter().enumerate() {
-            assert_eq!(q.kth(k), Some(v), "kth({k})");
-        }
-        for p in [0.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0] {
-            assert_eq!(
-                q.percentile(p),
-                Some(percentile_sorted(&sorted, p)),
-                "percentile({p})"
-            );
-        }
-        assert_eq!(q.min(), Some(sorted[0]));
-        assert_eq!(q.max(), Some(*sorted.last().unwrap()));
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            reference.iter().copied().collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn quantile_set_windowed_churn_matches_reference() {
-        // The monitor's exact usage pattern: bounded window, query per
-        // insert. Must agree with clone-and-sort at every step.
+        // A longer churn over mostly distinct values: a window of 16 read
+        // at p10 after every push must agree with clone-and-sort.
         let window = 16;
-        let mut q = QuantileSet::new();
-        let mut buf = std::collections::VecDeque::new();
+        let mut w = RollingQuantiles::new(window);
+        let mut buf = VecDeque::new();
         for i in 0..400u64 {
             let v = (((i * 2654435761) % 1013) as f64) / 1013.0;
             if buf.len() == window {
-                let old: f64 = buf.pop_front().unwrap();
-                assert!(q.remove(old), "evicted value missing at step {i}");
+                buf.pop_front();
             }
-            q.insert(v);
+            w.push(v);
             buf.push_back(v);
             let mut sorted: Vec<f64> = buf.iter().copied().collect();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(q.len(), sorted.len());
+            assert_eq!(w.len(), sorted.len());
             assert_eq!(
-                q.percentile(10.0),
+                w.percentile(10.0),
                 Some(percentile_sorted(&sorted, 10.0)),
                 "step {i}"
             );
@@ -1015,69 +710,32 @@ mod tests {
 
     #[test]
     fn quantile_set_duplicates_and_removal() {
-        let mut q = QuantileSet::new();
+        let mut w = RollingQuantiles::new(4);
         for _ in 0..3 {
-            q.insert(2.0);
+            w.push(2.0);
         }
-        q.insert(1.0);
-        assert_eq!(q.len(), 4);
-        assert!(q.remove(2.0));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.kth(1), Some(2.0));
-        assert!(!q.remove(9.0), "absent value must report false");
-        assert!(q.remove(2.0));
-        assert!(q.remove(2.0));
-        assert!(!q.remove(2.0), "multiplicity exhausted");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.percentile(50.0), Some(1.0));
-    }
-
-    #[test]
-    fn quantile_set_single_value() {
-        let mut q = QuantileSet::new();
-        q.insert(7.0);
-        assert_eq!(q.percentile(95.0), Some(7.0));
-    }
-
-    #[test]
-    fn quantile_set_clear_and_reuse() {
-        let mut q = QuantileSet::new();
-        for i in 0..50 {
-            q.insert(i as f64);
-        }
-        q.clear();
-        assert!(q.is_empty());
-        q.insert(3.0);
-        q.insert(1.0);
-        assert_eq!(q.percentile(100.0), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN inserted")]
-    fn quantile_set_rejects_nan() {
-        QuantileSet::new().insert(f64::NAN);
-    }
-
-    #[test]
-    fn rolling_quantiles_evicts_and_matches_sorted_window() {
-        let mut w = RollingQuantiles::new(8);
-        let mut reference = std::collections::VecDeque::new();
-        for i in 0..100u64 {
-            let v = (((i * 7919) % 541) as f64) / 541.0;
-            if reference.len() == 8 {
-                reference.pop_front();
-            }
-            reference.push_back(v);
-            w.push(v);
-            assert_eq!(w.len(), reference.len());
-            let mut sorted: Vec<f64> = reference.iter().copied().collect();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(w.percentile(90.0), Some(percentile_sorted(&sorted, 90.0)));
-        }
-        assert_eq!(
-            w.iter().collect::<Vec<_>>(),
-            reference.iter().copied().collect::<Vec<_>>()
-        );
+        w.push(1.0);
+        assert_eq!(w.len(), 4);
+        assert_eq!(w.percentile(0.0), Some(1.0));
+        assert_eq!(w.percentile(100.0), Some(2.0));
+        // Evicting the oldest 2.0 drops one copy, not all three.
+        w.push(3.0);
+        assert_eq!(w.len(), 4);
+        assert_eq!(w.percentile(50.0), Some(2.0));
+        assert_eq!(w.iter().collect::<Vec<_>>(), [2.0, 2.0, 1.0, 3.0]);
+        // The remaining copies go one at a time until none is left.
+        w.push(3.0);
+        assert_eq!(w.percentile(50.0), Some(2.5));
+        w.push(3.0);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [1.0, 3.0, 3.0, 3.0]);
+        assert_eq!(w.percentile(0.0), Some(1.0));
+        assert_eq!(w.percentile(50.0), Some(3.0));
+        // Pushing a value equal to the one it evicts leaves the window as is.
+        w.push(3.0);
+        w.push(3.0);
+        assert_eq!(w.len(), 4);
+        assert_eq!(w.percentile(0.0), Some(3.0));
+        assert_eq!(w.percentile(100.0), Some(3.0));
     }
 
     #[test]
@@ -1091,5 +749,11 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn rolling_quantiles_zero_cap_rejected() {
         RollingQuantiles::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN pushed")]
+    fn rolling_quantiles_rejects_nan() {
+        RollingQuantiles::new(4).push(f64::NAN);
     }
 }

@@ -4,7 +4,9 @@ use hcloud_sim::dist::{Dist, Sample};
 use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::series::StepSeries;
 use hcloud_sim::slot::{SlotKey, SlotMap};
-use hcloud_sim::stats::{percentile, percentile_sorted, Boxplot, Cdf, OnlineStats, QuantileSet};
+use hcloud_sim::stats::{
+    percentile, percentile_sorted, Boxplot, Cdf, OnlineStats, RollingQuantiles,
+};
 use hcloud_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -115,44 +117,39 @@ proptest! {
     }
 
     // ---------------------------------------------------------------
-    // Incremental containers (QuantileSet, SlotMap)
+    // Incremental containers (RollingQuantiles, SlotMap)
     // ---------------------------------------------------------------
 
-    /// `QuantileSet` tracks a clone-and-sort reference bit-for-bit under
-    /// any interleaving of inserts and removes: same length, same order
-    /// statistics, same interpolated percentiles.
+    /// `RollingQuantiles` tracks a clone-and-sort reference bit for bit:
+    /// after every push it holds the last `cap` values in arrival order,
+    /// and each percentile equals `percentile_sorted` over them sorted by
+    /// `f64::total_cmp`. The values come from a small pool, so duplicates
+    /// are common and `-0.0` meets `0.0`: both are kept, `-0.0` first.
     #[test]
-    fn quantile_set_matches_sorted_reference(
-        ops in prop::collection::vec((proptest::bool::ANY, -1e3f64..1e3), 1..200),
+    fn rolling_quantiles_matches_sorted_window(
+        cap in 1usize..=64,
+        picks in prop::collection::vec(0usize..8, 1..300),
     ) {
-        let mut q = QuantileSet::new();
-        let mut model: Vec<f64> = Vec::new();
-        for (remove, v) in ops {
-            if remove && !model.is_empty() {
-                let idx = (v.to_bits() as usize) % model.len();
-                let target = model.swap_remove(idx);
-                prop_assert!(q.remove(target), "present in model, absent in set");
-            } else {
-                q.insert(v);
-                model.push(v);
+        const POOL: [f64; 8] = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, -3.5, 1e3];
+        let mut w = RollingQuantiles::new(cap);
+        let mut pushed: Vec<f64> = Vec::new();
+        for i in picks {
+            w.push(POOL[i]);
+            pushed.push(POOL[i]);
+            let window = &pushed[pushed.len().saturating_sub(cap)..];
+            prop_assert_eq!(w.len(), window.len());
+            let got: Vec<u64> = w.iter().map(f64::to_bits).collect();
+            let want: Vec<u64> = window.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+            let mut sorted = window.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.0, 7.3, 25.0, 50.0, 66.6, 90.0, 95.0, 100.0] {
+                prop_assert_eq!(
+                    w.percentile(p).map(f64::to_bits),
+                    Some(percentile_sorted(&sorted, p).to_bits()),
+                    "p = {}", p
+                );
             }
-        }
-        prop_assert_eq!(q.len(), model.len());
-        // A value never inserted cannot be removed.
-        prop_assert!(!q.remove(1e9));
-        let mut sorted = model.clone();
-        sorted.sort_by(f64::total_cmp);
-        for (k, &want) in sorted.iter().enumerate() {
-            prop_assert_eq!(q.kth(k), Some(want));
-        }
-        prop_assert_eq!(q.kth(sorted.len()), None);
-        for p in [0.0, 7.3, 25.0, 50.0, 66.6, 90.0, 95.0, 100.0] {
-            let want = if sorted.is_empty() {
-                None
-            } else {
-                Some(percentile_sorted(&sorted, p))
-            };
-            prop_assert_eq!(q.percentile(p), want, "p = {}", p);
         }
     }
 

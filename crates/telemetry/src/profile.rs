@@ -27,8 +27,8 @@ use hcloud_json::{ObjectBuilder, Value};
 ///
 /// The set mirrors the optimisation history: the event queue (PR 6's
 /// timing wheel vs the reference heap), the placement front door (PR 4's
-/// indexed `find_placement`), the quality-monitor quantiles (PR 4's
-/// `QuantileSet`), the conservation-audit hooks (PR 5), and the
+/// indexed `find_placement`), the quality-monitor quantile windows
+/// (`RollingQuantiles`), the conservation-audit hooks, and the
 /// fair-share tenancy calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfSpan {
