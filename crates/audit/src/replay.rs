@@ -5,7 +5,8 @@
 //! no core counts), so replay checks the invariants a trace *can* prove:
 //! instance lifecycle (every spin-up released at most once, terminations
 //! and retention expiries only on live instances), queue conservation
-//! (exits never outrun entries, all entries matched by end of file), and
+//! (exits never outrun entries, all entries matched by end of file; a
+//! tenant preemption of a queued job is that job's exit), and
 //! stream integrity (exactly one `run-end`, header event count matches
 //! the body).
 //!
@@ -140,6 +141,14 @@ pub fn replay_file(text: &str) -> Result<ReplayStats, String> {
                 }
                 stats.queue_exits += 1;
             }
+            "tenant-preempt" => {
+                // A queued victim leaves the reserved queue without a
+                // `queue-exit`; a running one has no open entry.
+                if let Some(n) = queued.get_mut(&job()?).filter(|n| **n > 0) {
+                    *n -= 1;
+                    stats.queue_exits += 1;
+                }
+            }
             "run-end" => {
                 run_ends += 1;
                 if run_ends > 1 {
@@ -232,6 +241,58 @@ mod tests {
         ]);
         let err = replay_file(&text).unwrap_err();
         assert!(err.contains("job 3"), "{err}");
+    }
+
+    #[test]
+    fn preempted_queued_victim_replays_clean() {
+        // Entered, preempted out of the queue, deferred at the gate,
+        // then queued and drained again.
+        let text = trace(&[
+            r#"{"t_us":1,"ev":"queue-enter","job":899,"cores":4,"depth":1,"est_us":null}"#,
+            r#"{"t_us":2,"ev":"tenant-preempt","job":899,"victim_tenant":3,"starved_tenant":0,"work_lost_core_secs":0}"#,
+            r#"{"t_us":2,"ev":"tenant-defer","job":899,"tenant":3,"depth":1}"#,
+            r#"{"t_us":5,"ev":"tenant-release","job":899,"tenant":3,"waited_us":3,"borrowed":false}"#,
+            r#"{"t_us":5,"ev":"queue-enter","job":899,"cores":4,"depth":1,"est_us":null}"#,
+            r#"{"t_us":9,"ev":"queue-exit","job":899,"cores":4,"est_us":null,"actual_us":8,"relieved":false}"#,
+            r#"{"t_us":9,"ev":"run-end","events_processed":7,"scheduled_total":7,"max_queue_depth":1}"#,
+        ]);
+        let stats = replay_file(&text).unwrap();
+        assert_eq!(stats.queue_enters, 2);
+        assert_eq!(stats.queue_exits, 2);
+    }
+
+    #[test]
+    fn preempting_a_running_job_changes_no_count() {
+        let run = |preempt: bool| {
+            let mut events = vec![
+                r#"{"t_us":1,"ev":"queue-enter","job":4,"cores":4,"depth":1,"est_us":null}"#,
+                r#"{"t_us":2,"ev":"queue-exit","job":4,"cores":4,"est_us":null,"actual_us":1,"relieved":false}"#,
+            ];
+            if preempt {
+                events.push(r#"{"t_us":3,"ev":"tenant-preempt","job":4,"victim_tenant":1,"starved_tenant":0,"work_lost_core_secs":2.5}"#);
+            }
+            events.push(r#"{"t_us":4,"ev":"run-end","events_processed":4,"scheduled_total":4,"max_queue_depth":1}"#);
+            replay_file(&trace(&events)).unwrap()
+        };
+        let (plain, preempted) = (run(false), run(true));
+        assert_eq!(preempted.events, plain.events + 1);
+        assert_eq!(preempted.queue_enters, plain.queue_enters);
+        assert_eq!(preempted.queue_exits, plain.queue_exits);
+    }
+
+    #[test]
+    fn queue_exit_after_preempting_the_queued_job_is_flagged() {
+        let text = trace(&[
+            r#"{"t_us":1,"ev":"queue-enter","job":7,"cores":2,"depth":1,"est_us":null}"#,
+            r#"{"t_us":2,"ev":"tenant-preempt","job":7,"victim_tenant":1,"starved_tenant":0,"work_lost_core_secs":0}"#,
+            r#"{"t_us":3,"ev":"queue-exit","job":7,"cores":2,"est_us":null,"actual_us":2,"relieved":false}"#,
+            r#"{"t_us":4,"ev":"run-end","events_processed":4,"scheduled_total":4,"max_queue_depth":1}"#,
+        ]);
+        let err = replay_file(&text).unwrap_err();
+        assert!(
+            err.contains("queue-exit for job 7 with no matching entry"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,50 +1,27 @@
-//! Artifact-write bookkeeping shared by every figure binary.
+//! Artifact-write bookkeeping shared by every experiment.
 //!
-//! `report::write_json`, `plot::save_both`, and the harness's flight
+//! The `report` writers, `plot::save_both`, and the harness's flight
 //! recorder all funnel their success/failure reporting through here: one
 //! place that prints the `(wrote …)` / `warning: cannot …` stderr lines,
 //! counts artifacts, accumulates the `report` phase span, and latches a
-//! process-wide failure flag so [`crate::Harness::finish`] can turn the
-//! exit code nonzero instead of silently losing results.
+//! process-wide failure flag so `hcloud-bench` can turn its exit code
+//! nonzero instead of silently losing results.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use hcloud_telemetry::{ProfSpan, ProfileSnapshot};
-
 /// Version stamped into every `results/*.json` artifact's `meta` block.
 /// Version 1 is the historical unstamped `{columns, rows}` format;
-/// version 2 adds the `meta` envelope (producing experiment id +
-/// deterministic profiling op counts). The dashboard flags artifacts
-/// stamped with any other version as stale.
+/// version 2 adds the `meta` envelope naming the producing experiment.
+/// The dashboard flags artifacts stamped with any other version as
+/// stale.
 pub const SCHEMA_VERSION: u64 = 2;
 
 static FAILED: AtomicBool = AtomicBool::new(false);
 static WRITTEN: AtomicUsize = AtomicUsize::new(0);
 static REPORT_US: AtomicU64 = AtomicU64::new(0);
-static PROF_OPS: [AtomicU64; hcloud_telemetry::profile::PROF_SPANS] =
-    [const { AtomicU64::new(0) }; hcloud_telemetry::profile::PROF_SPANS];
-
-/// Accumulates a finished plan's profiling op counts into the
-/// process-wide totals [`crate::report::write_json`] stamps into
-/// artifacts. Only the deterministic op counts are kept — wall clock
-/// stays on stderr and in the perf benches' own artifacts, so committed
-/// `results/*.json` bytes never depend on the machine or worker count.
-pub fn add_profile(snapshot: &ProfileSnapshot) {
-    for span in ProfSpan::ALL {
-        PROF_OPS[span as usize].fetch_add(snapshot.get(span).ops, Ordering::Relaxed);
-    }
-}
-
-/// The accumulated profiling op counts so far, span-ordered; `None`
-/// until any span has recorded an operation (profiling disabled).
-pub fn profile_ops() -> Option<[(&'static str, u64); hcloud_telemetry::profile::PROF_SPANS]> {
-    let counts =
-        ProfSpan::ALL.map(|span| (span.name(), PROF_OPS[span as usize].load(Ordering::Relaxed)));
-    counts.iter().any(|(_, ops)| *ops > 0).then_some(counts)
-}
 
 /// Reports a successfully written artifact: one `(wrote <path>)` line on
 /// stderr (stdout stays byte-identical across worker counts).
@@ -54,8 +31,8 @@ pub fn artifact_written(path: &Path) {
 }
 
 /// Reports a failed artifact write: prints `warning: cannot <what>: <e>`
-/// and latches the process-wide failure flag, so the binary still prints
-/// its figures but exits nonzero.
+/// and latches the process-wide failure flag, so the experiment still
+/// prints its figures but `hcloud-bench` exits nonzero.
 pub fn artifact_failure(what: impl std::fmt::Display, error: impl std::fmt::Display) {
     FAILED.store(true, Ordering::Relaxed);
     eprintln!("warning: cannot {what}: {error}");

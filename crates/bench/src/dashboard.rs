@@ -14,8 +14,7 @@
 //!   re-appended, and nothing here reads the clock), which is what lets
 //!   CI regenerate the dashboard and fail on `git diff --exit-code`.
 //!
-//! Run it with `cargo run -p hcloud-bench --bin render_dashboard` or
-//! `hcloud-cli dashboard`.
+//! Run it with `hcloud-bench render_dashboard`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -36,7 +35,8 @@ pub const DASHBOARD_DIR: &str = "docs/alignment";
 enum Freshness {
     /// Stamped with the current schema version by the owning experiment.
     Fresh,
-    /// Present but unstamped, mis-stamped, or stamped by another binary.
+    /// Present but unstamped, mis-stamped, or stamped by another
+    /// experiment.
     Stale,
     /// No file at `results/<stem>.json`.
     Missing,
@@ -66,8 +66,8 @@ fn artifact_freshness(root: &Path, info: &ExperimentInfo, stem: &str) -> Freshne
 }
 
 /// The coverage matrix's artifact cell: `3/3 fresh`, `1/3 fresh (2
-/// stale)`, `0/1 fresh (1 missing)`, or `-` for binaries that write no
-/// JSON artifacts.
+/// stale)`, `0/1 fresh (1 missing)`, or `-` for experiments that write
+/// no JSON artifacts.
 fn artifact_cell(root: &Path, info: &ExperimentInfo) -> String {
     if info.artifacts.is_empty() {
         return "-".to_string();
@@ -141,7 +141,7 @@ fn ordered_registry() -> Vec<&'static ExperimentInfo> {
         ExperimentKind::Perf => 4,
         ExperimentKind::Tooling => 5,
     };
-    let mut entries: Vec<&'static ExperimentInfo> = registry::ALL.to_vec();
+    let mut entries: Vec<&'static ExperimentInfo> = registry::ALL.iter().collect();
     entries.sort_by_key(|e| (rank(e.kind), e.id));
     entries
 }
@@ -273,7 +273,7 @@ pub fn render_status(root: &Path, trajectory: &Value) -> String {
     out.push_str("# Paper-parity & perf-trajectory dashboard\n\n");
     out.push_str(
         "<!-- GENERATED FILE: do not edit. Regenerate with\n     \
-         `cargo run -p hcloud-bench --bin render_dashboard` (or `hcloud-cli dashboard`).\n     \
+         `cargo run --release -p hcloud-bench -- render_dashboard`.\n     \
          CI regenerates this and fails on drift. -->\n\n",
     );
 
@@ -311,7 +311,7 @@ pub fn render_status(root: &Path, trajectory: &Value) -> String {
     out.push_str(
         "\nColumns: **artifacts** — `results/*.json` files stamped by this experiment at \
          the current schema version (stale = present but unstamped or mis-attributed); \
-         **golden** — committed CI golden; **trace/audit/faults** — CI exercises the binary \
+         **golden** — committed CI golden; **trace/audit/faults** — CI exercises the experiment \
          under `HCLOUD_TRACE=full` / `HCLOUD_AUDIT=strict` / an active fault plan; \
          **digest** — FNV-1a over the artifact's result digests (perf benches only).\n\n",
     );

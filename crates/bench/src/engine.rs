@@ -3,7 +3,7 @@
 //! Every point of every figure is an independent, deterministic
 //! simulation: a `(scenario, strategy, config, seed)` tuple fully
 //! determines its [`RunResult`]. This module turns that independence into
-//! throughput. A binary describes its whole sweep as an
+//! throughput. An experiment describes its whole sweep as an
 //! [`ExperimentPlan`] — a list of typed [`RunSpec`]s — and the [`Engine`]
 //! fans the runs out across a scoped thread pool
 //! (`std::thread::scope`; no extra dependencies), collecting results
@@ -42,9 +42,7 @@ use hcloud::{MappingPolicy, RunConfig, RunResult, StrategyRef};
 use hcloud_audit::Auditor;
 use hcloud_faults::{FaultPlan, FaultPlanId};
 use hcloud_sim::rng::RngFactory;
-use hcloud_telemetry::{
-    MetricsRegistry, ProfSpan, ProfileSnapshot, Profiler, RunMeta, TraceEvent, Tracer,
-};
+use hcloud_telemetry::{ProfileSnapshot, Profiler, RunMeta, TraceEvent, Tracer};
 use hcloud_workloads::{Scenario, ScenarioKind};
 
 use crate::env::ExperimentCtx;
@@ -169,6 +167,15 @@ impl RunSpec {
         }
     }
 
+    /// The caller-provided scenario, when the engine does not generate
+    /// it.
+    pub(crate) fn explicit_scenario(&self) -> Option<&Arc<Scenario>> {
+        match &self.scenario {
+            ScenarioSource::Kind(_) => None,
+            ScenarioSource::Explicit(s) => Some(s),
+        }
+    }
+
     /// The label shown in telemetry: explicit, or derived.
     fn display_label(&self) -> String {
         if let Some(l) = &self.label {
@@ -215,9 +222,10 @@ impl RunSpec {
     pub(crate) fn cache_key(&self, ctx: &ExperimentCtx) -> String {
         let scenario = match &self.scenario {
             ScenarioSource::Kind(kind) => format!("kind:{kind:?}"),
-            // Pointer identity: only valid in-process, which is exactly
-            // the cache's lifetime. Distinct-but-equal scenarios miss the
-            // cache (costing time, never correctness).
+            // Pointer identity: valid only while the allocation lives,
+            // so the harness's cache entry holds the scenario.
+            // Distinct-but-equal scenarios miss the cache (costing time,
+            // never correctness).
             ScenarioSource::Explicit(s) => format!("ptr:{:p}", Arc::as_ptr(s)),
         };
         format!(
@@ -286,12 +294,6 @@ pub struct RunTelemetry {
     pub wall: Duration,
     /// Events its discrete-event loop processed.
     pub events: usize,
-    /// Incremental placement-index maintenance operations its scheduler
-    /// performed.
-    pub index_rebuilds: usize,
-    /// Placement queries its scheduler answered straight from a
-    /// maintained index.
-    pub placement_fastpath: usize,
     /// Per-subsystem profiling spans (op counts are deterministic; wall
     /// clock is machine-dependent). Empty unless the context's trace
     /// mode reports spans.
@@ -339,16 +341,6 @@ impl PlanTelemetry {
         self.runs.iter().map(|r| r.events).sum()
     }
 
-    /// Total placement-index maintenance operations across runs.
-    pub fn total_index_rebuilds(&self) -> usize {
-        self.runs.iter().map(|r| r.index_rebuilds).sum()
-    }
-
-    /// Total index-served placement queries across runs.
-    pub fn total_placement_fastpath(&self) -> usize {
-        self.runs.iter().map(|r| r.placement_fastpath).sum()
-    }
-
     /// Per-subsystem profiling spans summed across runs (empty unless
     /// the trace mode reports spans).
     pub fn total_profile(&self) -> ProfileSnapshot {
@@ -363,50 +355,6 @@ impl PlanTelemetry {
     /// wall-clock.
     pub fn speedup(&self) -> f64 {
         self.cpu_time().as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// The plan's cost, restated as a structured [`MetricsRegistry`]:
-    /// counters for run / cache / event totals, gauges for the pool
-    /// shape and per-phase wall-clock, and a streaming histogram of
-    /// per-run simulation time.
-    pub fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("runs_simulated", self.runs.len() as u64);
-        reg.counter_add("cache_hits", self.cache_hits as u64);
-        reg.counter_add("events_processed", self.total_events() as u64);
-        reg.counter_add("index-rebuild", self.total_index_rebuilds() as u64);
-        reg.counter_add("placement-fastpath", self.total_placement_fastpath() as u64);
-        let profile = self.total_profile();
-        for span in ProfSpan::ALL {
-            reg.counter_add(&format!("prof_{}_ops", span.name()), profile.get(span).ops);
-        }
-        reg.gauge_set("workers", self.workers as f64);
-        reg.gauge_set("plan_wall_s", self.wall.as_secs_f64());
-        reg.gauge_set("scenario_gen_s", self.scenario_wall.as_secs_f64());
-        for run in &self.runs {
-            reg.observe("run_wall_s", run.wall.as_secs_f64());
-        }
-        reg
-    }
-
-    /// One summary line (print to stderr so figure output on stdout stays
-    /// byte-identical across worker counts). Reads from
-    /// [`Self::registry`], so the line and any serialized snapshot can
-    /// never disagree.
-    pub fn summary(&self) -> String {
-        let reg = self.registry();
-        let wall = reg.gauge("plan_wall_s").unwrap_or(0.0);
-        let cpu = reg.histogram("run_wall_s").map_or(0.0, |h| h.sum());
-        format!(
-            "{} run(s) + {} cached on {} worker(s): {:.2}s wall, {:.2}s simulation ({:.2}x), {} events",
-            reg.counter("runs_simulated"),
-            reg.counter("cache_hits"),
-            reg.gauge("workers").unwrap_or(0.0) as usize,
-            wall,
-            cpu,
-            cpu / wall.max(1e-9),
-            reg.counter("events_processed"),
-        )
     }
 
     /// Merges another plan's telemetry into this one (session totals).
@@ -542,8 +490,6 @@ impl Engine {
                 label: spec.display_label(),
                 wall: run_started.elapsed(),
                 events: result.counters.events_processed,
-                index_rebuilds: result.counters.index_rebuilds,
-                placement_fastpath: result.counters.placement_fastpath,
                 profile: profiler.snapshot(),
             };
             Ok((result, telemetry, trace))
@@ -599,10 +545,6 @@ impl Engine {
             workers,
             cache_hits: 0,
         };
-        // Feed the deterministic op counts into the process-wide totals
-        // the artifact stamp reads; plan-level aggregation keeps the
-        // stamped counts independent of worker count.
-        crate::artifacts::add_profile(&telemetry.total_profile());
         Ok(PlanOutcome {
             results,
             traces,
@@ -616,7 +558,7 @@ mod tests {
     use super::*;
     use hcloud::StrategyId;
     use hcloud_audit::AuditMode;
-    use hcloud_telemetry::TraceMode;
+    use hcloud_telemetry::{ProfSpan, TraceMode};
 
     #[test]
     fn ambient_fault_plan_changes_cache_key_but_respects_explicit_plans() {
@@ -729,28 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_restates_the_summary() {
-        let mut plan = ExperimentPlan::new();
-        plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::SR));
-        let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(1);
-        let outcome = Engine::new(ctx).run_plan(&plan);
-        let reg = outcome.telemetry.registry();
-        assert_eq!(reg.counter("runs_simulated"), 1);
-        assert_eq!(reg.counter("cache_hits"), 0);
-        assert_eq!(
-            reg.counter("events_processed") as usize,
-            outcome.telemetry.total_events()
-        );
-        assert_eq!(reg.gauge("workers"), Some(1.0));
-        assert_eq!(reg.histogram("run_wall_s").unwrap().count(), 1);
-        let summary = outcome.telemetry.summary();
-        assert!(
-            summary.starts_with("1 run(s) + 0 cached on 1 worker(s):"),
-            "{summary}"
-        );
-    }
-
-    #[test]
     fn strict_audit_plan_succeeds_and_matches_unaudited_results() {
         let mut plan = ExperimentPlan::new();
         plan.push(RunSpec::of(ScenarioKind::Static, StrategyId::HM).seed(5));
@@ -776,9 +696,8 @@ mod tests {
         assert_eq!(plain.results, profiled.results);
         // Off mode keeps the profiler fully disabled...
         assert!(plain.telemetry.total_profile().is_empty());
-        // ...while summary mode times every span of every run, and the
-        // deterministic ops counts surface as registry counters. The plan
-        // is untenanted, so only the tenancy span stays at zero.
+        // ...while summary mode times every span of every run. The plan is
+        // untenanted, so only the tenancy span stays at zero.
         let profile = profiled.telemetry.total_profile();
         for span in ProfSpan::ALL {
             if span == ProfSpan::Tenancy {
@@ -791,14 +710,5 @@ mod tests {
                 span.name()
             );
         }
-        let reg = profiled.telemetry.registry();
-        assert_eq!(
-            reg.counter("prof_find-placement_ops"),
-            profile.get(ProfSpan::FindPlacement).ops
-        );
-        assert_eq!(
-            reg.counter("prof_event-pop_ops"),
-            profile.get(ProfSpan::EventPop).ops
-        );
     }
 }

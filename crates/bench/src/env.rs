@@ -1,6 +1,6 @@
 //! The ambient experiment context, typed from the `HCLOUD_*` variables.
 //!
-//! Every bench binary and the CI smoke jobs are steered by seven
+//! Every experiment and the CI smoke jobs are steered by seven
 //! environment variables — `HCLOUD_SEED`, `HCLOUD_FAST`, `HCLOUD_JOBS`,
 //! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_STRATEGY`.
 //! [`ExperimentCtx`] is their one typed home: each variable is parsed
@@ -39,9 +39,9 @@ pub struct ExperimentCtx {
     /// `final` (identities checked at end of run) or `strict`
     /// (violations abort at the offending event).
     pub audit: AuditMode,
-    /// Strategy focus (`HCLOUD_STRATEGY`): restrict a binary's sweep to
-    /// one registered strategy (registry id or short name); `None` runs
-    /// the binary's full strategy set.
+    /// Strategy focus (`HCLOUD_STRATEGY`): restrict an experiment's sweep
+    /// to one registered strategy (registry id or short name); `None`
+    /// runs the experiment's full strategy set.
     pub strategy: Option<StrategyId>,
 }
 

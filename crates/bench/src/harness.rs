@@ -1,17 +1,22 @@
-//! Shared experiment plumbing for the figure binaries: a thin caching
-//! facade over the [`crate::engine`].
+//! Shared experiment plumbing: a caching facade over the
+//! [`crate::engine`] that runs registered experiments.
 //!
-//! The [`Harness`] owns an [`ExperimentCtx`] (parsed once from
-//! `HCLOUD_SEED` / `HCLOUD_FAST` / `HCLOUD_JOBS`), a scenario cache, and
-//! a run cache keyed by the full [`RunSpec`] identity. Sweeps that
-//! re-bill or re-aggregate the same simulation (Figures 12, 13, 17) hit
-//! the cache; everything else flows through the parallel engine, so a
-//! figure binary saturates the machine by submitting its grid as one
-//! [`ExperimentPlan`].
+//! The [`Harness`] owns an [`ExperimentCtx`] (parsed once from the
+//! `HCLOUD_*` variables), a scenario cache, and a run cache keyed by the
+//! full [`RunSpec`] identity. One harness serves a whole `hcloud-bench`
+//! process, so experiments that re-bill or re-aggregate the same
+//! simulation (Figures 4, 10, 12, 13, 17 and 18 share their paper
+//! strategy runs) simulate it once; everything else flows through the
+//! parallel engine, so an experiment saturates the machine by submitting
+//! its grid as one [`ExperimentPlan`].
+//!
+//! [`Harness::run_experiment`] runs one registry entry: its artifacts are
+//! stamped with its id, and when it returns, the traces its runs
+//! recorded are flushed and its telemetry line goes to stderr.
 
 use std::collections::HashMap;
-use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use hcloud::RunResult;
 use hcloud_sim::rng::RngFactory;
@@ -21,54 +26,47 @@ use hcloud_workloads::{Scenario, ScenarioKind};
 use crate::artifacts;
 use crate::engine::{Engine, ExperimentPlan, PlanTelemetry, RunSpec, RunTrace};
 use crate::env::ExperimentCtx;
-use crate::registry::{self, ExperimentInfo};
+use crate::registry::ExperimentInfo;
+use crate::report;
 
-/// Generates the paper scenario for `kind` under the ambient
-/// seed/fast-mode environment (hard error on malformed variables).
-pub fn paper_scenario(kind: ScenarioKind) -> Scenario {
-    let ctx = ExperimentCtx::from_env_or_exit();
-    ctx.scenario(kind, None)
+/// One cached simulation.
+struct CacheEntry {
+    result: Arc<RunResult>,
+    /// An explicit spec's scenario. Its key is the scenario's address, so
+    /// the entry holds the allocation: no other scenario can be built at
+    /// that address while the key exists.
+    scenario: Option<Arc<Scenario>>,
+}
+
+/// The experiment a harness is running.
+struct Running {
+    info: &'static ExperimentInfo,
+    /// Plans submitted since the experiment started.
+    telemetry: PlanTelemetry,
+    /// The process-wide `report` span when the experiment started.
+    report_before: Duration,
 }
 
 /// An experiment harness: run cache in front of the parallel engine.
 pub struct Harness {
     engine: Engine,
     scenarios: HashMap<ScenarioKind, Arc<Scenario>>,
-    cache: HashMap<String, Arc<RunResult>>,
+    cache: HashMap<String, CacheEntry>,
     session: PlanTelemetry,
-    cache_hits: usize,
+    running: Option<Running>,
+    /// Traces recorded since the last flush.
     traces: Vec<RunTrace>,
 }
 
-impl Default for Harness {
-    fn default() -> Self {
-        Harness::new()
-    }
-}
-
 impl Harness {
-    /// A harness under the ambient environment (exits with a clear
-    /// message on malformed `HCLOUD_*` variables).
-    pub fn new() -> Harness {
-        Harness::with_ctx(ExperimentCtx::from_env_or_exit())
-    }
-
-    /// [`Harness::new`], announcing `info` as the running experiment so
-    /// every artifact this process writes is stamped with its registry
-    /// id (see [`registry::announce`]).
-    pub fn for_experiment(info: &'static ExperimentInfo) -> Harness {
-        registry::announce(info);
-        Harness::new()
-    }
-
-    /// A harness under an explicit context (tests, library callers).
+    /// A harness under `ctx`.
     pub fn with_ctx(ctx: ExperimentCtx) -> Harness {
         Harness {
             engine: Engine::new(ctx),
             scenarios: HashMap::new(),
             cache: HashMap::new(),
             session: PlanTelemetry::default(),
-            cache_hits: 0,
+            running: None,
             traces: Vec::new(),
         }
     }
@@ -93,18 +91,10 @@ impl Harness {
 
     /// Runs one spec (or returns its cached result). For grids, prefer
     /// [`Harness::run_plan`], which fans out across all cores.
-    pub fn run(&mut self, spec: RunSpec) -> &RunResult {
-        let key = spec.cache_key(self.engine.ctx());
-        if !self.cache.contains_key(&key) {
-            let outcome = self.engine.run_plan(&ExperimentPlan::from(vec![spec]));
-            self.session.absorb(&outcome.telemetry);
-            self.traces.extend(outcome.traces.into_iter().flatten());
-            let result = outcome.results.into_iter().next().expect("one result");
-            self.cache.insert(key.clone(), Arc::new(result));
-        } else {
-            self.cache_hits += 1;
-        }
-        self.cache.get(&key).expect("just inserted")
+    pub fn run(&mut self, spec: RunSpec) -> Arc<RunResult> {
+        self.run_plan(ExperimentPlan::from(vec![spec]))
+            .pop()
+            .expect("one spec, one result")
     }
 
     /// Runs a whole plan through the engine, consulting the cache per
@@ -122,33 +112,77 @@ impl Harness {
             }
         }
 
-        let hits = plan.len() - missing.len();
-        self.cache_hits += hits;
+        let mut telemetry = PlanTelemetry::default();
         if !missing.is_empty() {
             let sub: ExperimentPlan = missing.iter().map(|(_, s)| s.clone()).collect();
             let outcome = self.engine.run_plan(&sub);
-            let mut telemetry = outcome.telemetry;
-            telemetry.cache_hits = hits;
-            self.session.absorb(&telemetry);
+            telemetry = outcome.telemetry;
             self.traces.extend(outcome.traces.into_iter().flatten());
-            for ((key, _), result) in missing.into_iter().zip(outcome.results) {
-                self.cache.insert(key, Arc::new(result));
+            for ((key, spec), result) in missing.into_iter().zip(outcome.results) {
+                let entry = CacheEntry {
+                    result: Arc::new(result),
+                    scenario: spec.explicit_scenario().cloned(),
+                };
+                self.cache.insert(key, entry);
             }
+        }
+        telemetry.cache_hits = plan.len() - telemetry.runs.len();
+        self.session.absorb(&telemetry);
+        if let Some(running) = &mut self.running {
+            running.telemetry.absorb(&telemetry);
         }
 
         keys.iter()
-            .map(|key| Arc::clone(self.cache.get(key).expect("all plan keys resolved")))
+            .map(|key| Arc::clone(&self.cache[key].result))
             .collect()
     }
 
-    /// Session telemetry: every simulated run so far, plus cache counts.
-    pub fn telemetry(&self) -> &PlanTelemetry {
-        &self.session
+    /// Runs one registered experiment: the artifacts it writes through
+    /// [`Harness::write_json`] are stamped with its id; afterwards its
+    /// traces are flushed (`HCLOUD_TRACE=full`) and its spans (`summary`
+    /// and up) and telemetry line go to stderr. Runs an earlier
+    /// experiment already simulated are served from the cache, so they
+    /// are neither simulated nor traced again.
+    pub fn run_experiment(&mut self, info: &'static ExperimentInfo) {
+        self.running = Some(Running {
+            info,
+            telemetry: PlanTelemetry::default(),
+            report_before: artifacts::report_span(),
+        });
+        (info.run)(self);
+        // An experiment builds its explicit scenarios itself and drops
+        // them when it returns, so no later spec can name them again.
+        self.cache.retain(|_, entry| entry.scenario.is_none());
+        let running = self.running.take().expect("set above");
+        self.flush_traces(info.id);
+        let telemetry = &running.telemetry;
+        if self.ctx().trace.reports_spans() {
+            eprintln!(
+                "[{}] phases: scenario-gen {:.2}s, sim {:.2}s, report {:.2}s",
+                info.id,
+                telemetry.scenario_wall.as_secs_f64(),
+                telemetry.cpu_time().as_secs_f64(),
+                (artifacts::report_span() - running.report_before).as_secs_f64(),
+            );
+            let profile = telemetry.total_profile();
+            if !profile.is_empty() {
+                eprintln!("[{}] profile: {}", info.id, profile.summary());
+            }
+        }
+        report_line(info.id, telemetry);
+    }
+
+    /// Writes `(x, series...)` rows as `results/<name>.json`, stamped with
+    /// the running experiment's id. Returns whether the write succeeded;
+    /// a failure makes `hcloud-bench` exit nonzero.
+    pub fn write_json(&self, name: &str, headers: &[&str], rows: &[Vec<f64>]) -> bool {
+        let bench = self.running.as_ref().map(|r| r.info.id);
+        report::write_json(bench, name, headers, rows)
     }
 
     /// Cache hits served so far.
     pub fn cache_hits(&self) -> usize {
-        self.cache_hits
+        self.session.cache_hits
     }
 
     /// Simulations actually executed so far.
@@ -156,67 +190,52 @@ impl Harness {
         self.session.runs.len()
     }
 
-    /// Traces recorded so far this session (non-empty only under
-    /// `HCLOUD_TRACE=full`), in submission order.
-    pub fn traces(&self) -> &[RunTrace] {
-        &self.traces
-    }
-
     /// Prints the session telemetry line for `name` to stderr (stderr so
     /// figure output on stdout stays byte-identical across worker
     /// counts).
     pub fn report(&self, name: &str) {
-        eprintln!(
-            "[{name}] engine: {} simulated, {} cached, {} worker(s); {:.2}s wall, {:.2}s simulation ({:.2}x); {} events",
-            self.cache_misses(),
-            self.cache_hits(),
-            self.session.workers.max(1),
-            self.session.wall.as_secs_f64(),
-            self.session.cpu_time().as_secs_f64(),
-            self.session.speedup(),
-            self.session.total_events(),
-        );
+        report_line(name, &self.session);
     }
 
-    /// End-of-binary bookkeeping: flushes recorded traces to the flight
-    /// recorder (`HCLOUD_TRACE=full`), prints the per-phase spans
-    /// (`summary` and up) and the session telemetry line, and returns
-    /// the exit code — nonzero when any artifact write failed.
-    pub fn finish(&self, name: &str) -> ExitCode {
-        if self.ctx().trace.records_events() {
-            let recorder = FlightRecorder::default_dir();
-            let mut written = 0usize;
-            for trace in &self.traces {
-                match recorder.write(&trace.meta, &trace.events) {
-                    Ok(_) => written += 1,
-                    Err(e) => artifacts::artifact_failure(
-                        format!("write {}", recorder.path_for(&trace.meta).display()),
-                        e,
-                    ),
-                }
-            }
-            if written > 0 {
-                eprintln!(
-                    "[{name}] (wrote {written} trace(s) under {})",
-                    recorder.dir().display()
-                );
+    /// Writes the traces recorded since the last flush to the flight
+    /// recorder.
+    fn flush_traces(&mut self, name: &str) {
+        let traces = std::mem::take(&mut self.traces);
+        if traces.is_empty() {
+            return;
+        }
+        let recorder = FlightRecorder::default_dir();
+        let mut written = 0usize;
+        for trace in &traces {
+            match recorder.write(&trace.meta, &trace.events) {
+                Ok(_) => written += 1,
+                Err(e) => artifacts::artifact_failure(
+                    format!("write {}", recorder.path_for(&trace.meta).display()),
+                    e,
+                ),
             }
         }
-        if self.ctx().trace.reports_spans() {
+        if written > 0 {
             eprintln!(
-                "[{name}] phases: scenario-gen {:.2}s, sim {:.2}s, report {:.2}s",
-                self.session.scenario_wall.as_secs_f64(),
-                self.session.cpu_time().as_secs_f64(),
-                artifacts::report_span().as_secs_f64(),
+                "[{name}] (wrote {written} trace(s) under {})",
+                recorder.dir().display()
             );
-            let profile = self.session.total_profile();
-            if !profile.is_empty() {
-                eprintln!("[{name}] profile: {}", profile.summary());
-            }
         }
-        self.report(name);
-        artifacts::exit_code()
     }
+}
+
+/// Prints one engine telemetry line for `name` to stderr.
+fn report_line(name: &str, t: &PlanTelemetry) {
+    eprintln!(
+        "[{name}] engine: {} simulated, {} cached, {} worker(s); {:.2}s wall, {:.2}s simulation ({:.2}x); {} events",
+        t.runs.len(),
+        t.cache_hits,
+        t.workers.max(1),
+        t.wall.as_secs_f64(),
+        t.cpu_time().as_secs_f64(),
+        t.speedup(),
+        t.total_events(),
+    );
 }
 
 #[cfg(test)]
@@ -273,5 +292,27 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(h.cache_misses(), 1);
         assert_eq!(results[0].as_ref(), results[1].as_ref());
+    }
+
+    #[test]
+    fn dropped_explicit_scenarios_never_alias_a_cached_run() {
+        // Each scenario is dropped before the next is generated, so the
+        // allocator is free to hand the next one the same address; the
+        // cache must still simulate every one of them.
+        let mut h = fast_harness();
+        let ctx = *h.ctx();
+        for (seed, fraction) in [(1, 0.0), (2, 0.2), (3, 0.4), (4, 0.6), (5, 0.8), (6, 1.0)] {
+            let mut config = ctx.scenario_config(ScenarioKind::HighVariability);
+            config.sensitive_fraction = Some(fraction);
+            let scenario = Arc::new(Scenario::generate(config, &RngFactory::new(seed)));
+            let jobs = scenario.jobs().len();
+            let result = h.run(RunSpec::on(scenario, StrategyId::HM));
+            assert_eq!(
+                result.outcomes.len(),
+                jobs,
+                "seed {seed}: served another scenario's result"
+            );
+        }
+        assert_eq!(h.cache_misses(), 6);
     }
 }

@@ -494,8 +494,8 @@ impl BoxChart {
 
 /// Writes a chart under `results/figures/<name>_<mode>.svg` for both
 /// themes. Returns whether every write succeeded; failures are reported
-/// through [`crate::artifacts`] and latch a nonzero process exit (via
-/// [`crate::Harness::finish`]) while the figure still prints to stdout.
+/// through [`crate::artifacts`] and latch a nonzero `hcloud-bench` exit
+/// while the figure still prints to stdout.
 pub fn save_both(name: &str, render: impl Fn(&Theme) -> String) -> bool {
     let started = std::time::Instant::now();
     let dir = std::path::Path::new("results/figures");

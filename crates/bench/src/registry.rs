@@ -1,29 +1,32 @@
-//! The self-describing experiment registry.
+//! The self-describing experiment registry, and `hcloud-bench`'s
+//! dispatch table.
 //!
-//! Every bench binary is one experiment: it reproduces a paper figure or
-//! table, replicates a headline claim across seeds, extends the paper, or
-//! guards performance. This module is the single typed list of those
-//! experiments — one [`ExperimentInfo`] per `src/bin/*.rs` file — so
-//! tooling can enumerate coverage instead of guessing from filenames:
+//! Every experiment reproduces a paper figure or table, replicates a
+//! headline claim across seeds, extends the paper, guards performance, or
+//! renders other experiments' outputs. Each is one module under
+//! `src/experiments/` with a `pub fn run(h: &mut Harness)`, and this
+//! module is the single typed list of them — one [`ExperimentInfo`] per
+//! module, carrying that `run` — so tooling can enumerate coverage
+//! instead of guessing from filenames:
 //!
-//! * each binary declares `const INFO: &ExperimentInfo = &registry::…`
-//!   and [`announce`]s it at startup (or constructs its harness with
-//!   [`crate::Harness::for_experiment`], which announces for it);
-//! * [`crate::report::write_json`] reads the announced entry to stamp
-//!   every `results/*.json` artifact with the producing experiment's id
-//!   and the artifact [`crate::artifacts::SCHEMA_VERSION`];
-//! * the dashboard generator (`render_dashboard`, `hcloud-cli
-//!   dashboard`) walks [`ALL`] against `results/`, the goldens and the
-//!   committed `BENCH_*.json` files to render
-//!   `docs/alignment/STATUS.md`.
+//! * `hcloud-bench <id>…|all` resolves its arguments with [`select`] and
+//!   runs each entry through one shared [`crate::Harness`];
+//! * [`crate::Harness::write_json`] stamps every `results/*.json`
+//!   artifact with the running experiment's id and the artifact
+//!   [`crate::artifacts::SCHEMA_VERSION`];
+//! * the dashboard generator (`hcloud-bench render_dashboard`) walks
+//!   [`ALL`] against `results/`, the goldens and the committed
+//!   `BENCH_*.json` files to render `docs/alignment/STATUS.md`.
 //!
-//! A completeness test pins the registry to the filesystem: every
-//! `src/bin/*.rs` appears exactly once in [`ALL`], and every registered
-//! golden exists — no unregistered or phantom experiments.
+//! The `experiments!` table names each entry by its module, so an id
+//! cannot drift from its code. A completeness test pins the registry to
+//! the filesystem: every `src/experiments/*.rs` appears exactly once in
+//! [`ALL`], and every registered golden exists — no unregistered or
+//! phantom experiments.
 
-use std::sync::Mutex;
+use crate::Harness;
 
-/// What kind of experiment a binary is.
+/// What kind of experiment an entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentKind {
     /// Reproduces a numbered paper figure.
@@ -55,33 +58,38 @@ impl ExperimentKind {
 }
 
 /// One experiment's self-description: everything the dashboard needs to
-/// render a coverage row without running the binary.
+/// render a coverage row without running it, and the function that runs
+/// it.
 #[derive(Debug)]
 pub struct ExperimentInfo {
-    /// Registry id == the binary's `src/bin/<id>.rs` stem.
+    /// Registry id == the experiment's `src/experiments/<id>.rs` stem.
     pub id: &'static str,
+    /// Runs the experiment: prints its tables to stdout and writes its
+    /// artifacts.
+    pub run: fn(&mut Harness),
     /// The paper figure/table/claim this experiment covers.
     pub paper_ref: &'static str,
     /// What kind of experiment this is.
     pub kind: ExperimentKind,
-    /// One-line statement of the claim the binary checks.
+    /// One-line statement of the claim the experiment checks.
     pub claim: &'static str,
     /// Scenario kinds exercised (`"-"` when none are simulated).
     pub scenarios: &'static str,
     /// Strategies exercised (`"-"` when none).
     pub strategies: &'static str,
-    /// `results/<stem>.json` artifacts the binary writes.
+    /// `results/<stem>.json` artifacts the experiment writes.
     pub artifacts: &'static [&'static str],
     /// Committed golden this experiment is diffed against in CI,
     /// relative to the repo root.
     pub golden: Option<&'static str>,
-    /// CI runs this binary under `HCLOUD_TRACE=full`.
+    /// CI runs this experiment under `HCLOUD_TRACE=full`.
     pub trace_covered: bool,
-    /// CI runs this binary under `HCLOUD_AUDIT=strict`.
+    /// CI runs this experiment under `HCLOUD_AUDIT=strict`.
     pub audit_covered: bool,
-    /// CI runs this binary under an active fault plan.
+    /// CI runs this experiment under an active fault plan.
     pub fault_covered: bool,
-    /// The CI job that executes the binary (`"manual"` when none does).
+    /// The CI job that executes the experiment (`"manual"` when none
+    /// does).
     pub ci_job: &'static str,
 }
 
@@ -95,17 +103,21 @@ impl ExperimentInfo {
     }
 }
 
+/// Builds [`ALL`]: each entry is keyed by its module under
+/// `crate::experiments`, which gives both its `id` and its `run`.
 macro_rules! experiments {
-    ($($name:ident => { $($field:ident : $value:expr),* $(,)? })*) => {
-        $(pub static $name: ExperimentInfo = ExperimentInfo { $($field: $value),* };)*
-        /// Every registered experiment, in `src/bin/` order.
-        pub static ALL: &[&ExperimentInfo] = &[$(&$name),*];
+    ($($module:ident => { $($field:ident : $value:expr),* $(,)? })*) => {
+        /// Every registered experiment, in `src/experiments/` order.
+        pub static ALL: &[ExperimentInfo] = &[$(ExperimentInfo {
+            id: stringify!($module),
+            run: crate::experiments::$module::run,
+            $($field: $value),*
+        }),*];
     };
 }
 
 experiments! {
-    ABLATIONS => {
-        id: "ablations",
+    ablations => {
         paper_ref: "beyond-paper ablations",
         kind: ExperimentKind::Extension,
         claim: "removing soft limits / QoS checks / Quasar profiling each degrades the dynamic policy",
@@ -116,10 +128,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    EXT_DATA_LOCALITY => {
-        id: "ext_data_locality",
+    ext_data_locality => {
         paper_ref: "§5.5 data management",
         kind: ExperimentKind::Extension,
         claim: "data-transfer penalties shift the hybrid split toward the private facility",
@@ -130,10 +141,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    EXT_FAULT_RESILIENCE => {
-        id: "ext_fault_resilience",
+    ext_fault_resilience => {
         paper_ref: "fault-injection extension",
         kind: ExperimentKind::Extension,
         claim: "SLO attainment degrades gracefully as full-chaos fault intensity rises",
@@ -146,8 +156,7 @@ experiments! {
         fault_covered: true,
         ci_job: "smoke",
     }
-    EXT_LONG_HORIZON => {
-        id: "ext_long_horizon",
+    ext_long_horizon => {
         paper_ref: "§5.5 long-horizon + spot market",
         kind: ExperimentKind::Extension,
         claim: "DSL-authored multi-week demand shapes run digest-pinned under HM, and spot-market preemption recovers through the fault-requeue path with an exactly reconciled billing partition",
@@ -160,8 +169,7 @@ experiments! {
         fault_covered: true,
         ci_job: "long-horizon",
     }
-    EXT_MULTI_TENANT => {
-        id: "ext_multi_tenant",
+    ext_multi_tenant => {
         paper_ref: "§6 shared-cluster extension",
         kind: ExperimentKind::Extension,
         claim: "weighted fair share holds per-tenant SLOs under Zipf-skewed tenant populations, and starved guaranteed queues reclaim share via preemption",
@@ -174,8 +182,7 @@ experiments! {
         fault_covered: true,
         ci_job: "tenancy",
     }
-    EXT_SPOT_PARTITIONING => {
-        id: "ext_spot_partitioning",
+    ext_spot_partitioning => {
         paper_ref: "§5.5 spot + partitioning",
         kind: ExperimentKind::Extension,
         claim: "spot bidding and server partitioning extend the cost/performance frontier",
@@ -186,10 +193,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    EXT_THEORY_STRATEGIES => {
-        id: "ext_theory_strategies",
+    ext_theory_strategies => {
         paper_ref: "post-paper autoscaling theory",
         kind: ExperimentKind::Extension,
         claim: "the reservation-autoscale and queueing-capacity registry strategies survive full chaos and Zipf tenancy head-to-head with HF/HM, digest-pinned",
@@ -202,8 +208,7 @@ experiments! {
         fault_covered: true,
         ci_job: "theory",
     }
-    FIG01 => {
-        id: "fig01_variability_batch",
+    fig01_variability_batch => {
         paper_ref: "Figure 1",
         kind: ExperimentKind::PaperFigure,
         claim: "Hadoop completion times spread widely on small shared instances, stay tight on m16",
@@ -214,10 +219,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG02 => {
-        id: "fig02_variability_memcached",
+    fig02_variability_memcached => {
         paper_ref: "Figure 2",
         kind: ExperimentKind::PaperFigure,
         claim: "memcached latency is unpredictable on shared instance types",
@@ -228,10 +232,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG03_TAB02 => {
-        id: "fig03_tab02_scenarios",
+    fig03_tab02_scenarios => {
         paper_ref: "Figure 3 / Table 2",
         kind: ExperimentKind::PaperFigure,
         claim: "the three workload scenarios match the paper's demand curves and parameters",
@@ -242,10 +245,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG04_FIG05 => {
-        id: "fig04_fig05_basic_strategies",
+    fig04_fig05_basic_strategies => {
         paper_ref: "Figures 4-5",
         kind: ExperimentKind::PaperFigure,
         claim: "basic strategies trade performance for cost; profiling info narrows the gap",
@@ -258,8 +260,7 @@ experiments! {
         fault_covered: false,
         ci_job: "test",
     }
-    FIG06_FIG07 => {
-        id: "fig06_fig07_mapping_policies",
+    fig06_fig07_mapping_policies => {
         paper_ref: "Figures 6-7",
         kind: ExperimentKind::PaperFigure,
         claim: "the dynamic P8 policy keeps both sides >=90% of isolation at ~80% reserved utilization; strict quality thresholds (P3, P4) drop to ~63% reserved and ~46-48% on-demand",
@@ -270,10 +271,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG09 => {
-        id: "fig09_dynamic_policy",
+    fig09_dynamic_policy => {
         paper_ref: "Figure 9",
         kind: ExperimentKind::PaperFigure,
         claim: "the soft utilization limit adapts to queue pressure and wait-time validation triggers",
@@ -284,10 +284,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG10_FIG11 => {
-        id: "fig10_fig11_hybrid",
+    fig10_fig11_hybrid => {
         paper_ref: "Figures 10-11",
         kind: ExperimentKind::PaperFigure,
         claim: "hybrid strategies approach SR performance at a fraction of its cost",
@@ -300,8 +299,7 @@ experiments! {
         fault_covered: false,
         ci_job: "test",
     }
-    FIG12 => {
-        id: "fig12_price_ratio",
+    fig12_price_ratio => {
         paper_ref: "Figure 12",
         kind: ExperimentKind::PaperFigure,
         claim: "hybrid cost advantage persists across on-demand:reserved price ratios",
@@ -312,10 +310,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG13 => {
-        id: "fig13_duration",
+    fig13_duration => {
         paper_ref: "Figure 13",
         kind: ExperimentKind::PaperFigure,
         claim: "reserved amortization flips the cost ranking as deployment duration grows",
@@ -326,10 +323,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG14 => {
-        id: "fig14_spinup_external",
+    fig14_spinup_external => {
         paper_ref: "Figure 14",
         kind: ExperimentKind::PaperFigure,
         claim: "performance degrades with spin-up time and external load, HM most robust",
@@ -340,10 +336,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG15 => {
-        id: "fig15_retention",
+    fig15_retention => {
         paper_ref: "Figure 15",
         kind: ExperimentKind::PaperFigure,
         claim: "longer retention trades cost for performance on the on-demand side",
@@ -354,10 +349,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG16 => {
-        id: "fig16_sensitive_fraction",
+    fig16_sensitive_fraction => {
         paper_ref: "Figure 16",
         kind: ExperimentKind::PaperFigure,
         claim: "cost and performance degrade as the interference-sensitive fraction rises",
@@ -368,10 +362,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG17 => {
-        id: "fig17_pricing_models",
+    fig17_pricing_models => {
         paper_ref: "Figure 17",
         kind: ExperimentKind::PaperFigure,
         claim: "the strategy ranking survives AWS-, GCE- and Azure-style pricing models",
@@ -382,10 +375,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG18 => {
-        id: "fig18_allocation",
+    fig18_allocation => {
         paper_ref: "Figure 18",
         kind: ExperimentKind::PaperFigure,
         claim: "allocation traces track required cores; hybrids blend reserved and on-demand",
@@ -396,10 +388,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG19_20 => {
-        id: "fig19_20_utilization",
+    fig19_20_utilization => {
         paper_ref: "Figures 19-20",
         kind: ExperimentKind::PaperFigure,
         claim: "per-instance utilization heatmaps show hybrids packing reserved capacity densely",
@@ -416,10 +407,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    FIG21 => {
-        id: "fig21_breakdown",
+    fig21_breakdown => {
         paper_ref: "Figure 21",
         kind: ExperimentKind::PaperFigure,
         claim: "HM sends batch to on-demand and keeps latency-critical work on reserved",
@@ -430,10 +420,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    PERF_FLEET => {
-        id: "perf_fleet",
+    perf_fleet => {
         paper_ref: "perf: fleet-scale engine",
         kind: ExperimentKind::Perf,
         claim: "the ~1M-job fleet run is digest-identical across worker counts",
@@ -446,8 +435,7 @@ experiments! {
         fault_covered: false,
         ci_job: "perf-fleet",
     }
-    PERF_HOTPATH => {
-        id: "perf_hotpath",
+    perf_hotpath => {
         paper_ref: "perf: scheduler hot path",
         kind: ExperimentKind::Perf,
         claim: "per-arrival provisioning decisions stay cheap; digests pin every simulated byte",
@@ -460,8 +448,7 @@ experiments! {
         fault_covered: false,
         ci_job: "perf",
     }
-    RENDER_DASHBOARD => {
-        id: "render_dashboard",
+    render_dashboard => {
         paper_ref: "coverage dashboard",
         kind: ExperimentKind::Tooling,
         claim: "docs/alignment/{STATUS.md,PERF_TRAJECTORY.json} regenerate byte-identically",
@@ -474,8 +461,7 @@ experiments! {
         fault_covered: false,
         ci_job: "dashboard",
     }
-    RENDER_FIGURES => {
-        id: "render_figures",
+    render_figures => {
         paper_ref: "figure rendering",
         kind: ExperimentKind::Tooling,
         claim: "SVG charts regenerate from the committed results/*.json series",
@@ -488,8 +474,7 @@ experiments! {
         fault_covered: false,
         ci_job: "manual",
     }
-    REPLICATION => {
-        id: "replication",
+    replication => {
         paper_ref: "headline claims xN seeds",
         kind: ExperimentKind::Replication,
         claim: "SR>OdM performance, hybrid cost savings and profiling gains replicate across seeds",
@@ -502,8 +487,7 @@ experiments! {
         fault_covered: false,
         ci_job: "smoke",
     }
-    TAB01_03 => {
-        id: "tab01_03_strategies",
+    tab01_03_strategies => {
         paper_ref: "Tables 1 & 3",
         kind: ExperimentKind::PaperTable,
         claim: "the qualitative configuration comparison and strategy matrix match the paper",
@@ -514,10 +498,9 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
-    TAB_OVERHEADS => {
-        id: "tab_overheads",
+    tab_overheads => {
         paper_ref: "§5.2 overheads",
         kind: ExperimentKind::PaperTable,
         claim: "provisioning-decision overheads stay within the paper's reported budget",
@@ -528,27 +511,37 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "manual",
+        ci_job: "test",
     }
 }
 
 /// Looks an experiment up by registry id.
 pub fn find(id: &str) -> Option<&'static ExperimentInfo> {
-    ALL.iter().copied().find(|e| e.id == id)
+    ALL.iter().find(|e| e.id == id)
 }
 
-static CURRENT: Mutex<Option<&'static ExperimentInfo>> = Mutex::new(None);
-
-/// Declares `info` the running experiment. Binaries call this (directly
-/// or through [`crate::Harness::for_experiment`]) before writing
-/// artifacts, so [`crate::report::write_json`] can stamp them.
-pub fn announce(info: &'static ExperimentInfo) {
-    *CURRENT.lock().expect("registry lock poisoned") = Some(info);
-}
-
-/// The experiment announced by this process, if any.
-pub fn current() -> Option<&'static ExperimentInfo> {
-    *CURRENT.lock().expect("registry lock poisoned")
+/// Resolves `hcloud-bench` arguments, in order: each is a registry id, or
+/// `all` for every entry that is not [`ExperimentKind::Tooling`], in
+/// registry order. An unknown id is an error listing the known ones.
+pub fn select(args: &[String]) -> Result<Vec<&'static ExperimentInfo>, String> {
+    let mut selected = Vec::new();
+    for arg in args {
+        if arg == "all" {
+            selected.extend(ALL.iter().filter(|e| e.kind != ExperimentKind::Tooling));
+            continue;
+        }
+        match find(arg) {
+            Some(info) => selected.push(info),
+            None => {
+                let known: Vec<&str> = ALL.iter().map(|e| e.id).collect();
+                return Err(format!(
+                    "unknown experiment {arg:?}; expected `all` or one of: {}",
+                    known.join(", ")
+                ));
+            }
+        }
+    }
+    Ok(selected)
 }
 
 #[cfg(test)]
@@ -566,12 +559,14 @@ mod tests {
     }
 
     #[test]
-    fn every_binary_is_registered_exactly_once() {
-        let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    fn every_experiment_module_is_registered_exactly_once() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/experiments");
         let mut stems = BTreeSet::new();
-        for entry in std::fs::read_dir(&bin_dir).expect("src/bin exists") {
+        for entry in std::fs::read_dir(&dir).expect("src/experiments exists") {
             let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            if path.extension().and_then(|e| e.to_str()) == Some("rs")
+                && path.file_stem().and_then(|s| s.to_str()) != Some("mod")
+            {
                 stems.insert(
                     path.file_stem()
                         .and_then(|s| s.to_str())
@@ -584,7 +579,13 @@ mod tests {
         assert_eq!(ids.len(), ALL.len(), "duplicate registry ids");
         assert_eq!(
             ids, stems,
-            "registry ids and src/bin/*.rs stems must match exactly"
+            "registry ids and src/experiments/*.rs stems must match exactly"
+        );
+        let mut ordered: Vec<&str> = ALL.iter().map(|e| e.id).collect();
+        ordered.sort_unstable();
+        assert!(
+            ALL.iter().map(|e| e.id).eq(ordered),
+            "registry order is the module order"
         );
     }
 
@@ -602,7 +603,7 @@ mod tests {
             for artifact in e.artifact_paths() {
                 assert!(
                     root.join(&artifact).is_file(),
-                    "{}: committed artifact {artifact} missing (run the binary and commit it)",
+                    "{}: committed artifact {artifact} missing (run the experiment and commit it)",
                     e.id
                 );
             }
@@ -645,16 +646,30 @@ mod tests {
     }
 
     #[test]
-    fn announce_is_visible_process_wide() {
-        announce(&REPLICATION);
-        let cur = current().expect("announced");
-        assert_eq!(cur.id, "replication");
+    fn select_expands_all_and_rejects_unknown_ids() {
+        let args = |ids: &[&str]| ids.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ids = |infos: Vec<&ExperimentInfo>| infos.iter().map(|e| e.id).collect::<Vec<_>>();
+
+        let picked = select(&args(&["fig13_duration", "fig12_price_ratio"])).expect("known ids");
+        assert_eq!(ids(picked), ["fig13_duration", "fig12_price_ratio"]);
+
+        let all = ids(select(&args(&["all"])).expect("all"));
+        let expected: Vec<&str> = ALL
+            .iter()
+            .filter(|e| e.kind != ExperimentKind::Tooling)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(all, expected, "`all` is every non-tooling entry, in order");
+        assert!(!all.contains(&"render_dashboard"));
+        assert!(all.contains(&"perf_fleet"));
+
+        let err = select(&args(&["replication", "no_such_bench"])).expect_err("unknown id");
+        assert!(err.contains("no_such_bench"), "{err}");
+        assert!(
+            err.contains("render_dashboard"),
+            "lists the known ids: {err}"
+        );
         assert!(find("perf_fleet").is_some());
         assert!(find("no_such_bench").is_none());
-        // Re-announcing moves the pointer (bins announce exactly once;
-        // tests may announce repeatedly).
-        announce(&PERF_HOTPATH);
-        assert_eq!(current().expect("announced").id, "perf_hotpath");
-        announce(&REPLICATION);
     }
 }

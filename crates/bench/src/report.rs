@@ -1,35 +1,28 @@
-//! Text tables, ASCII plots and JSON export for the figure binaries.
+//! Text tables, ASCII plots and JSON export for the experiments.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::artifacts;
-use crate::registry;
+use hcloud_json::Value;
 
-/// The `meta` stamp written into every artifact: schema version, the
-/// announced experiment's registry id (see [`registry::announce`]),
-/// and — when profiling ran — the deterministic per-subsystem op
-/// counts. Exactly one line, stable key order.
-fn meta_stamp() -> String {
-    let mut meta = format!("{{\"schema_version\": {}", artifacts::SCHEMA_VERSION);
-    match registry::current() {
-        Some(info) => {
-            let _ = write!(meta, ", \"bench\": \"{}\"", info.id);
-        }
-        None => meta.push_str(", \"bench\": null"),
+use crate::artifacts;
+
+/// The `meta` stamp written into every `write_json` artifact: schema
+/// version and the producing experiment's registry id. Exactly one line,
+/// stable key order.
+fn meta_stamp(bench: Option<&str>) -> String {
+    match bench {
+        Some(id) => format!(
+            "{{\"schema_version\": {}, \"bench\": \"{id}\"}}",
+            artifacts::SCHEMA_VERSION
+        ),
+        None => format!(
+            "{{\"schema_version\": {}, \"bench\": null}}",
+            artifacts::SCHEMA_VERSION
+        ),
     }
-    if let Some(counts) = artifacts::profile_ops() {
-        meta.push_str(", \"profile_ops\": {");
-        for (i, (name, ops)) in counts.iter().enumerate() {
-            let comma = if i == 0 { "" } else { ", " };
-            let _ = write!(meta, "{comma}\"{name}\": {ops}");
-        }
-        meta.push('}');
-    }
-    meta.push('}');
-    meta
 }
 
 /// A simple aligned text table.
@@ -133,20 +126,16 @@ pub fn heatmap_row(values: &[f64]) -> String {
 }
 
 /// Writes `(x, series...)` data as JSON under `results/<name>.json`,
-/// creating the directory if needed. Returns whether the write
-/// succeeded; failures are reported through [`crate::artifacts`] and
-/// latch a nonzero process exit (via [`crate::Harness::finish`]) while
-/// the figure still prints to stdout.
-pub fn write_json(name: &str, headers: &[&str], rows: &[Vec<f64>]) -> bool {
-    let started = Instant::now();
-    let dir = Path::new("results");
-    if let Err(e) = fs::create_dir_all(dir) {
-        artifacts::artifact_failure("create results/", e);
-        artifacts::add_report_span(started.elapsed());
-        return false;
-    }
+/// stamped with the producing experiment `bench` (experiments write
+/// through [`crate::Harness::write_json`], which supplies it).
+pub(crate) fn write_json(
+    bench: Option<&str>,
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<f64>],
+) -> bool {
     let mut body = String::from("{\n");
-    let _ = writeln!(body, "  \"meta\": {},", meta_stamp());
+    let _ = writeln!(body, "  \"meta\": {},", meta_stamp(bench));
     let _ = writeln!(
         body,
         "  \"columns\": [{}],",
@@ -173,15 +162,31 @@ pub fn write_json(name: &str, headers: &[&str], rows: &[Vec<f64>]) -> bool {
         let _ = writeln!(body, "    [{cells}]{comma}");
     }
     body.push_str("  ]\n}\n");
+    write_artifact(name, &body)
+}
+
+/// Writes a JSON document as `results/<name>.json`, pretty-printed (the
+/// perf and extension experiments' own document shape).
+pub(crate) fn write_document(name: &str, doc: &Value) -> bool {
+    write_artifact(name, &(doc.to_pretty() + "\n"))
+}
+
+/// Writes `body` to `results/<name>.json`, creating the directory if
+/// needed. Returns whether the write succeeded; failures are reported
+/// through [`crate::artifacts`] with the OS error and latch a nonzero
+/// process exit while the figure still prints to stdout.
+fn write_artifact(name: &str, body: &str) -> bool {
+    let started = Instant::now();
+    let dir = Path::new("results");
     let path = dir.join(format!("{name}.json"));
-    let ok = match fs::write(&path, body) {
-        Err(e) => {
-            artifacts::artifact_failure(format!("write {}", path.display()), e);
-            false
-        }
+    let ok = match fs::create_dir_all(dir).and_then(|()| fs::write(&path, body)) {
         Ok(()) => {
             artifacts::artifact_written(&path);
             true
+        }
+        Err(e) => {
+            artifacts::artifact_failure(format!("write {}", path.display()), e);
+            false
         }
     };
     artifacts::add_report_span(started.elapsed());

@@ -1,11 +1,12 @@
 //! `ext_multi_tenant` and `ext_theory_strategies` reproduce their
 //! committed FAST goldens.
 //!
-//! Each binary runs in FAST mode in a temp directory of its own, with
-//! every other `HCLOUD_*` variable cleared, and its `results/*.json` is
-//! compared row by row with `goldens/<bench>_fast.json`: the row count,
-//! each row's `(strategy, variant)` and digest, the multi-tenant
-//! off-switch identity and starvation demo, and the theory grid's
+//! Each runs as `hcloud-bench <id>` in FAST mode in a temp directory of
+//! its own, with every other `HCLOUD_*` variable cleared, and its
+//! `results/*.json` is compared row by row with
+//! `goldens/<bench>_fast.json`: the row count, each row's
+//! `(strategy, variant)` and digest, the multi-tenant off-switch
+//! identity and starvation demo, and the theory grid's
 //! `HCLOUD_STRATEGY=RA` focus.
 
 use std::path::{Path, PathBuf};
@@ -13,17 +14,17 @@ use std::process::Command;
 
 use hcloud_json::Value;
 
-/// Runs `bin` with `HCLOUD_FAST=1` plus `env` in a fresh directory and
-/// returns its parsed `results/<bench>.json`.
-fn run_fast(bin: &str, bench: &str, tag: &str, env: &[(&str, &str)]) -> Value {
+/// Runs `hcloud-bench <bench>` with `HCLOUD_FAST=1` plus `env` in a
+/// fresh directory and returns its parsed `results/<bench>.json`.
+fn run_fast(bench: &str, tag: &str, env: &[(&str, &str)]) -> Value {
     let dir = std::env::temp_dir().join(format!(
         "hcloud-goldens-{bench}-{tag}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let mut cmd = Command::new(bin);
-    cmd.current_dir(&dir);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hcloud-bench"));
+    cmd.arg(bench).current_dir(&dir);
     for (key, _) in std::env::vars() {
         if key.starts_with("HCLOUD_") {
             cmd.env_remove(key);
@@ -33,7 +34,7 @@ fn run_fast(bin: &str, bench: &str, tag: &str, env: &[(&str, &str)]) -> Value {
     for (key, value) in env {
         cmd.env(key, value);
     }
-    let out = cmd.output().expect("bench binary runs");
+    let out = cmd.output().expect("hcloud-bench runs");
     assert!(
         out.status.success(),
         "{bench} ({tag}) failed: {}\n{}",
@@ -102,7 +103,7 @@ fn assert_rows_match(bench: &str, got: &Value, want: &Value) {
 #[test]
 fn ext_multi_tenant_matches_its_fast_golden() {
     let bench = "ext_multi_tenant";
-    let got = run_fast(env!("CARGO_BIN_EXE_ext_multi_tenant"), bench, "grid", &[]);
+    let got = run_fast(bench, "grid", &[]);
     let want = golden(bench);
     assert_rows_match(bench, &got, &want);
     // The off-switch contract: tenancy wiring never moved an untenanted
@@ -136,11 +137,10 @@ fn ext_multi_tenant_matches_its_fast_golden() {
 #[test]
 fn ext_theory_strategies_matches_its_fast_golden_and_focus() {
     let bench = "ext_theory_strategies";
-    let bin = env!("CARGO_BIN_EXE_ext_theory_strategies");
-    let full = run_fast(bin, bench, "grid", &[]);
+    let full = run_fast(bench, "grid", &[]);
     assert_rows_match(bench, &full, &golden(bench));
     // A strategy focus narrows the grid without moving any digest.
-    let focused = run_fast(bin, bench, "ra", &[("HCLOUD_STRATEGY", "RA")]);
+    let focused = run_fast(bench, "ra", &[("HCLOUD_STRATEGY", "RA")]);
     let focused = rows(&focused);
     assert_eq!(focused.len(), 3, "RA focus keeps RA's three variants");
     for row in focused {

@@ -18,7 +18,6 @@ commands:
   trace     replay a recorded JSONL trace as a readable timeline
   audit     replay recorded traces through the conservation auditor
   faults    list the built-in fault-injection plans (HCLOUD_FAULTS)
-  dashboard regenerate docs/alignment/{STATUS.md,PERF_TRAJECTORY.json}
 
 common options:
   --scenario static|low|high   scenario kind          [high]
@@ -92,8 +91,6 @@ pub enum Command {
     Audit(AuditOptions),
     /// `faults`: list the built-in fault-injection plans.
     Faults,
-    /// `dashboard`: regenerate the paper-parity dashboard in place.
-    Dashboard,
 }
 
 /// Options for `audit`.
@@ -351,7 +348,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "audit" => Ok(Command::Audit(audit)),
         "faults" => Ok(Command::Faults),
-        "dashboard" => Ok(Command::Dashboard),
         "help" | "--help" | "-h" => Err("help requested".into()),
         other => Err(format!("unknown command '{other}'")),
     }

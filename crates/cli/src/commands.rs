@@ -492,13 +492,6 @@ pub fn run(command: Command) -> Result<(), String> {
             faults();
             Ok(())
         }
-        Command::Dashboard => {
-            if hcloud_bench::dashboard::write_dashboard(std::path::Path::new(".")) {
-                Ok(())
-            } else {
-                Err("dashboard render failed (see warnings above)".into())
-            }
-        }
         Command::Tenants(common, options) => tenants(&common, &options),
         Command::Advise(common, options) => {
             let scenario = build_scenario(&common);

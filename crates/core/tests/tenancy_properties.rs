@@ -5,17 +5,18 @@
 //! auditor — whose finalize pass reconciles each per-tenant ledger
 //! against the global admission/completion/work totals — (c) keep the
 //! global tenancy counters exactly equal to the sum of the per-tenant
-//! stats they aggregate, and (d) trace each queue exit with the wait the
-//! run credits, gate time included. Preempted work re-entering the
+//! stats they aggregate, (d) trace each queue exit with the wait the run
+//! credits, gate time included, and (e) record a trace the offline
+//! replay (`hcloud-cli audit`) accepts. Preempted work re-entering the
 //! fault-requeue path with carryover is the easiest place to double- or
 //! drop-count, so the fault plans are part of the search space.
 
 use hcloud::runner::{run_scenario, RunCtx};
 use hcloud::{RunConfig, StrategyRegistry};
-use hcloud_audit::{AuditMode, Auditor};
+use hcloud_audit::{replay_file, AuditMode, Auditor};
 use hcloud_faults::FaultPlanId;
 use hcloud_sim::rng::RngFactory;
-use hcloud_telemetry::{TraceEvent, TraceKind, Tracer};
+use hcloud_telemetry::{render_jsonl, RunMeta, TraceEvent, TraceKind, Tracer};
 use hcloud_tenancy::TenancyPlan;
 use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
 use proptest::prelude::{prop_assert, prop_assert_eq};
@@ -35,7 +36,7 @@ fn tenanted_scenario(seed: u64, tenants: usize) -> Scenario {
 }
 
 /// Runs one tenanted cell under the strict auditor with a tracer
-/// attached and checks (a)–(d); returns the run's trace.
+/// attached and checks (a)–(e); returns the run's trace.
 fn check_tenanted_run(
     seed: u64,
     strategy_idx: usize,
@@ -126,6 +127,23 @@ fn check_tenanted_run(
         strategy,
         fault_plan.name()
     );
+
+    // (e) The trace replays clean offline, including tenant preemptions
+    // that take a job out of the reserved queue.
+    let meta = RunMeta {
+        label: format!("{strategy}/{}", fault_plan.name()),
+        scenario: "custom".into(),
+        strategy: strategy.to_string(),
+        seed,
+    };
+    let replayed = replay_file(&render_jsonl(&meta, &events));
+    prop_assert!(
+        replayed.is_ok(),
+        "{}/{}: offline replay rejects the trace: {:?}",
+        strategy,
+        fault_plan.name(),
+        replayed.err()
+    );
     Ok(events)
 }
 
@@ -142,11 +160,8 @@ proptest::proptest! {
     }
 }
 
-/// A fixed HM cell whose starvation relief reroutes jobs that first
-/// waited at the tenancy gate: each such exit must trace the gate wait
-/// too, not only the time since it entered the reserved queue.
-#[test]
-fn relieved_exits_trace_gate_wait() {
+/// The `(strategy, fault plan)` indices of HM without faults.
+fn hm_without_faults() -> (usize, usize) {
     let hm = StrategyRegistry::paper()
         .iter()
         .position(|s| s.short_name() == "HM")
@@ -155,6 +170,15 @@ fn relieved_exits_trace_gate_wait() {
         .iter()
         .position(|&p| p == FaultPlanId::Off)
         .expect("off is a fault plan");
+    (hm, off)
+}
+
+/// A fixed HM cell whose starvation relief reroutes jobs that first
+/// waited at the tenancy gate: each such exit must trace the gate wait
+/// too, not only the time since it entered the reserved queue.
+#[test]
+fn relieved_exits_trace_gate_wait() {
+    let (hm, off) = hm_without_faults();
     let events = check_tenanted_run(30, hm, off, 9).unwrap_or_else(|e| panic!("{e}"));
     let mut entered = std::collections::HashMap::new();
     let mut gate_waited = 0;
@@ -181,4 +205,28 @@ fn relieved_exits_trace_gate_wait() {
         gate_waited > 0,
         "the cell relieves no job that waited at the gate"
     );
+}
+
+/// A fixed HM cell whose starvation relief preempts jobs still waiting in
+/// the reserved queue. Such a victim's queue entry closes with its
+/// `tenant-preempt`, never a `queue-exit`, so check (e) holds only if the
+/// offline replay counts the preemption as the exit.
+#[test]
+fn queued_tenant_victims_replay_clean() {
+    let (hm, off) = hm_without_faults();
+    let events = check_tenanted_run(4, hm, off, 5).unwrap_or_else(|e| panic!("{e}"));
+    let mut open: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut queued_victims = 0;
+    for e in &events {
+        match e.kind {
+            TraceKind::QueueEnter { job, .. } => *open.entry(job).or_default() += 1,
+            TraceKind::QueueExit { job, .. } => *open.entry(job).or_default() -= 1,
+            TraceKind::TenantPreempt { job, .. } if open.get(&job).is_some_and(|&n| n > 0) => {
+                *open.entry(job).or_default() -= 1;
+                queued_victims += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(queued_victims > 0, "the cell preempts no queued job");
 }

@@ -6,9 +6,6 @@
 //!   event stream. Events are typed ([`TraceKind`]), stamped with **sim
 //!   time** (never wall clock, so traces are deterministic), and buffered
 //!   per run.
-//! * [`MetricsRegistry`] — counters, gauges, and streaming histograms.
-//!   Percentiles reuse the `hcloud-sim::stats` machinery so registry
-//!   quantiles agree bit-for-bit with the simulator's own estimators.
 //! * [`Profiler`] — per-subsystem profiling spans (event queue, placement,
 //!   monitor quantiles, audit hooks): zero-cost when disabled, and split
 //!   into deterministic operation counts vs machine-dependent wall clock.
@@ -22,14 +19,12 @@
 //! `summary` (per-phase profiling spans on stderr), and `full` (summary
 //! plus per-run flight recording).
 
-pub mod metrics;
 pub mod mode;
 pub mod profile;
 pub mod recorder;
 pub mod timeline;
 pub mod trace;
 
-pub use metrics::{MetricsRegistry, StreamingHistogram};
 pub use mode::TraceMode;
 pub use profile::{ProfSpan, ProfileSnapshot, Profiler, SpanTotals};
 pub use recorder::{render_jsonl, sanitize_label, FlightRecorder, RunMeta, TRACE_SCHEMA_VERSION};

@@ -163,8 +163,9 @@ pub enum TraceKind {
         waited_us: u64,
         borrowed: bool,
     },
-    /// `tenancy` — cross-queue preemption: a running job was evicted so
-    /// a starved guaranteed queue could reclaim its share.
+    /// `tenancy` — cross-queue preemption: a running or reserved-queued
+    /// job was evicted so a starved guaranteed queue could reclaim its
+    /// share. A queued victim leaves the queue with this event alone.
     TenantPreempt {
         job: u64,
         victim_tenant: u64,
