@@ -26,8 +26,10 @@
 //!   on a fully-guaranteed pool must show at least one starvation-relief
 //!   preemption, with the guaranteed tenant recording the reclaim.
 //!
-//! CI diffs the fast-mode digests against the committed
-//! `crates/bench/goldens/ext_multi_tenant_fast.json`.
+//! `cargo test`'s golden walk compares the fast-mode run with the
+//! committed `crates/bench/goldens/ext_multi_tenant_fast.json`, then
+//! reruns it under `HCLOUD_JOBS=4 HCLOUD_AUDIT=strict HCLOUD_TRACE=full`
+//! and replays its traces offline.
 
 use std::sync::Arc;
 

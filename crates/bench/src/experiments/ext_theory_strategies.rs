@@ -22,10 +22,10 @@
 //! the per-cell digest. `HCLOUD_STRATEGY` focuses the grid on one
 //! registered strategy.
 //!
-//! CI diffs the fast-mode digests against the committed
-//! `crates/bench/goldens/ext_theory_strategies_fast.json` and reruns
-//! the experiment under `HCLOUD_AUDIT=strict` to prove both new strategies
-//! hold every conservation identity under chaos and tenancy.
+//! `cargo test`'s golden walk compares the fast-mode run with the
+//! committed `crates/bench/goldens/ext_theory_strategies_fast.json` and
+//! reruns it under `HCLOUD_JOBS=4 HCLOUD_AUDIT=strict`, to prove both new
+//! strategies hold every conservation identity under chaos and tenancy.
 
 use std::sync::Arc;
 

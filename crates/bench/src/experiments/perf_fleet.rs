@@ -9,20 +9,20 @@
 //! OdM (the strategy that spawns the most instances) with an aggressive
 //! retention window so the fleet churns past 100k instances.
 //!
-//! Three identities ship with the wall-clock number, all through the
+//! Two identities ship with the wall-clock number, both through the
 //! shared FNV digest:
 //!
 //! * **profiled vs timed** — an extra rep with the [`Profiler`] enabled
 //!   must produce byte-identical results;
-//! * **j1 vs j4** — an [`Engine`] plan executed with `HCLOUD_JOBS=1` and
-//!   `4` must produce byte-identical results at every plan index;
-//! * **golden** — CI diffs the fast-mode digests against the committed
-//!   `crates/bench/goldens/BENCH_fleet_fast.json` and fails on drift or
-//!   a >25% wall-clock regression.
+//! * **golden** — `cargo test` compares the fast-mode run with the
+//!   committed `crates/bench/goldens/BENCH_fleet_fast.json`, and CI fails
+//!   on a >25% wall-clock regression.
+//!
+//! Worker-count identity is the engine's own property;
+//! `crates/bench/tests/fleet_identity.rs` checks it on this scenario.
 //!
 //! Timings go to stderr; `results/BENCH_fleet.json` carries the numbers.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use hcloud::runner::{run_scenario, RunCtx};
@@ -33,7 +33,7 @@ use hcloud_telemetry::Profiler;
 use hcloud_workloads::Scenario;
 
 use crate::fleet::{fleet_config, run_digest};
-use crate::{artifacts, report, Engine, ExperimentPlan, Harness, RunSpec};
+use crate::{artifacts, report, Harness};
 
 /// Timed repetitions; the minimum is reported.
 const REPS: usize = 2;
@@ -112,44 +112,6 @@ pub fn run(h: &mut Harness) {
         )
         .build();
 
-    // Worker identity: the same two-spec plan under 1 and 4 workers.
-    let shared = Arc::new(scenario);
-    let plan_digests: Vec<Vec<String>> = [1usize, 4]
-        .iter()
-        .map(|&jobs| {
-            let engine = Engine::new(ctx.with_jobs(jobs));
-            let mut plan = ExperimentPlan::new();
-            plan.push(RunSpec::on(shared.clone(), StrategyId::ODM).config(config.clone()));
-            plan.push(
-                RunSpec::on(shared.clone(), StrategyId::ODM)
-                    .config(config.clone())
-                    .seed(ctx.master_seed + 1),
-            );
-            let outcome = engine.run_plan(&plan);
-            outcome.results.iter().map(run_digest).collect()
-        })
-        .collect();
-    let workers_identical = plan_digests[0] == plan_digests[1];
-    eprintln!(
-        "[perf_fleet] j1 vs j4: {} (j1 {:?})",
-        if workers_identical {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-        plan_digests[0],
-    );
-    if !workers_identical {
-        artifacts::artifact_failure(
-            "perf_fleet worker identity",
-            format!(
-                "HCLOUD_JOBS=1 and 4 diverged: {:?} vs {:?}",
-                plan_digests[0], plan_digests[1]
-            ),
-        );
-        return;
-    }
-
     let doc = ObjectBuilder::new()
         .set("schema_version", artifacts::SCHEMA_VERSION)
         .set("bench", "perf_fleet")
@@ -161,25 +123,10 @@ pub fn run(h: &mut Harness) {
                 .set("kind", "high-variability-fleet")
                 .set("strategy", "OdM")
                 .set("retention_mult", 0.05)
-                .set("jobs", shared.jobs().len() as f64)
+                .set("jobs", scenario.jobs().len() as f64)
                 .build(),
         )
         .set("queues", Value::Array(vec![wheel]))
-        .set(
-            "workers",
-            ObjectBuilder::new()
-                .set(
-                    "j1_digests",
-                    Value::Array(
-                        plan_digests[0]
-                            .iter()
-                            .map(|d| Value::from(d.as_str()))
-                            .collect(),
-                    ),
-                )
-                .set("identical_to_j4", workers_identical)
-                .build(),
-        )
         .set("total_wall_ms", wall_ms)
         .build();
     report::write_document("BENCH_fleet", &doc);

@@ -7,8 +7,9 @@
 //! count, thousands of instance acquisitions) across all five strategies
 //! and writes `results/BENCH_hotpath.json`. The committed
 //! `BENCH_hotpath.json` at the repo root records the pre-index baseline
-//! next to the indexed numbers; CI re-runs this experiment in fast mode and
-//! fails when the result digests drift or the wall clock regresses.
+//! next to the indexed numbers. `cargo test`'s golden walk fails when the
+//! fast-mode result digests drift, and CI fails when the fast-mode wall
+//! clock regresses.
 //!
 //! Timings go to stderr; the JSON artifact carries the numbers. Result
 //! *digests* are deterministic (FNV-1a over every outcome's bits), so a

@@ -16,7 +16,10 @@
 //!   [`crate::artifacts::SCHEMA_VERSION`];
 //! * the dashboard generator (`hcloud-bench render_dashboard`) walks
 //!   [`ALL`] against `results/`, the goldens and the committed
-//!   `BENCH_*.json` files to render `docs/alignment/STATUS.md`.
+//!   `BENCH_*.json` files to render `docs/alignment/STATUS.md`;
+//! * the golden walk (`tests/goldens.rs`) runs every entry with a
+//!   [`ExperimentInfo::golden`] and checks it, and its audit and trace
+//!   coverage.
 //!
 //! The `experiments!` table names each entry by its module, so an id
 //! cannot drift from its code. A completeness test pins the registry to
@@ -79,14 +82,20 @@ pub struct ExperimentInfo {
     pub strategies: &'static str,
     /// `results/<stem>.json` artifacts the experiment writes.
     pub artifacts: &'static [&'static str],
-    /// Committed golden this experiment is diffed against in CI,
-    /// relative to the repo root.
+    /// Committed FAST golden, relative to the repo root. The golden walk
+    /// (`tests/goldens.rs`) runs the experiment FAST and requires its
+    /// first artifact to hold every field of the golden.
     pub golden: Option<&'static str>,
-    /// CI runs this experiment under `HCLOUD_TRACE=full`.
+    /// The experiment is run under `HCLOUD_TRACE=full`: for a golden
+    /// entry by the golden walk's checked run, which also replays the
+    /// traces offline; otherwise by a CI job.
     pub trace_covered: bool,
-    /// CI runs this experiment under `HCLOUD_AUDIT=strict`.
+    /// The experiment is run under `HCLOUD_AUDIT=strict` and must keep
+    /// its bytes: for a golden entry by the golden walk's checked run,
+    /// with four workers; otherwise by a CI job.
     pub audit_covered: bool,
-    /// CI runs this experiment under an active fault plan.
+    /// Some of the experiment's runs have an active fault plan: its own
+    /// chaos variants, or CI's `HCLOUD_FAULTS`.
     pub fault_covered: bool,
     /// The CI job that executes the experiment (`"manual"` when none
     /// does).
@@ -167,7 +176,7 @@ experiments! {
         trace_covered: false,
         audit_covered: true,
         fault_covered: true,
-        ci_job: "long-horizon",
+        ci_job: "test",
     }
     ext_multi_tenant => {
         paper_ref: "§6 shared-cluster extension",
@@ -180,7 +189,7 @@ experiments! {
         trace_covered: true,
         audit_covered: true,
         fault_covered: true,
-        ci_job: "tenancy",
+        ci_job: "test",
     }
     ext_spot_partitioning => {
         paper_ref: "§5.5 spot + partitioning",
@@ -206,7 +215,7 @@ experiments! {
         trace_covered: false,
         audit_covered: true,
         fault_covered: true,
-        ci_job: "theory",
+        ci_job: "test",
     }
     fig01_variability_batch => {
         paper_ref: "Figure 1",
@@ -425,7 +434,7 @@ experiments! {
     perf_fleet => {
         paper_ref: "perf: fleet-scale engine",
         kind: ExperimentKind::Perf,
-        claim: "the ~1M-job fleet run is digest-identical across worker counts",
+        claim: "the ~1M-job fleet run is digest-pinned, and profiling it moves no byte",
         scenarios: "high-variability-fleet",
         strategies: "OdM",
         artifacts: &["BENCH_fleet"],
@@ -433,7 +442,7 @@ experiments! {
         trace_covered: false,
         audit_covered: false,
         fault_covered: false,
-        ci_job: "perf-fleet",
+        ci_job: "perf",
     }
     perf_hotpath => {
         paper_ref: "perf: scheduler hot path",
@@ -622,19 +631,9 @@ mod tests {
 
     #[test]
     fn ci_jobs_use_known_names() {
-        let jobs: BTreeSet<&str> = [
-            "test",
-            "perf",
-            "perf-fleet",
-            "smoke",
-            "dashboard",
-            "manual",
-            "tenancy",
-            "theory",
-            "long-horizon",
-        ]
-        .into_iter()
-        .collect();
+        let jobs: BTreeSet<&str> = ["test", "perf", "smoke", "dashboard", "manual"]
+            .into_iter()
+            .collect();
         for e in ALL {
             assert!(
                 jobs.contains(e.ci_job),

@@ -147,3 +147,42 @@ fn advise_recommends_a_strategy() {
     // A 4-week deployment should never pay for a 1-year reservation.
     assert!(!out.contains("recommendation: SR"), "{out}");
 }
+
+#[test]
+fn validate_exits_0_on_a_scenario_and_2_naming_a_malformed_field() {
+    let dir = std::env::temp_dir().join(format!("hcloud_cli_validate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let ok = dir.join("ok.json");
+    let bad = dir.join("bad.json");
+    let (ok_str, bad_str) = (
+        ok.to_str().expect("utf-8 path"),
+        bad.to_str().expect("utf-8 path"),
+    );
+    run_ok(&[
+        "export",
+        "--scenario",
+        "low",
+        "--scale",
+        "0.1",
+        "--minutes",
+        "15",
+        "--out",
+        ok_str,
+    ]);
+    run_ok(&["validate", "--file", ok_str]);
+
+    let text = std::fs::read_to_string(&ok).expect("exported scenario");
+    assert!(
+        text.contains("\"load_scale\""),
+        "the export names load_scale"
+    );
+    std::fs::write(&bad, text.replace("\"load_scale\"", "\"load_scale_typo\"")).expect("write");
+    let out = cli()
+        .args(["validate", "--file", bad_str])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "malformed input exits 2: {err}");
+    assert!(err.contains("load_scale"), "names the field: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
