@@ -37,11 +37,6 @@ impl AuditMode {
         }
     }
 
-    /// Read `HCLOUD_AUDIT` from the environment.
-    pub fn from_env() -> Result<AuditMode, String> {
-        AuditMode::parse(std::env::var("HCLOUD_AUDIT").ok().as_deref())
-    }
-
     /// True when ledgers are maintained at all (final or strict).
     pub fn is_enabled(self) -> bool {
         self != AuditMode::Off

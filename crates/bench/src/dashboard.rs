@@ -311,10 +311,10 @@ pub fn render_status(root: &Path, trajectory: &Value) -> String {
     out.push_str(
         "\nColumns: **artifacts** — `results/*.json` files stamped by this experiment at \
          the current schema version (stale = present but unstamped or mis-attributed); \
-         **golden** — committed FAST golden, checked by `cargo test`; **trace/audit** — the \
-         experiment runs under `HCLOUD_TRACE=full` / `HCLOUD_AUDIT=strict`, in `cargo test`'s \
-         golden walk for a golden entry, else in its CI job; **faults** — some of its runs have \
-         an active fault plan; \
+         **golden** — committed FAST golden, checked by `cargo test`; **trace/audit** — \
+         `cargo test`'s golden walk reruns the experiment under `HCLOUD_TRACE=full` / \
+         `HCLOUD_AUDIT=strict` with unchanged bytes, one trace per run; **faults** — some of \
+         its runs carry an active fault plan; \
          **digest** — FNV-1a over the artifact's result digests (perf benches only).\n\n",
     );
 

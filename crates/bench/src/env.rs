@@ -1,21 +1,34 @@
 //! The ambient experiment context, typed from the `HCLOUD_*` variables.
 //!
-//! Every experiment and the CI smoke jobs are steered by seven
-//! environment variables — `HCLOUD_SEED`, `HCLOUD_FAST`, `HCLOUD_JOBS`,
-//! `HCLOUD_TRACE`, `HCLOUD_FAULTS`, `HCLOUD_AUDIT`, `HCLOUD_STRATEGY`.
-//! [`ExperimentCtx`] is their one typed home: each variable is parsed
-//! exactly once, and a malformed value is a hard error naming the
-//! variable, the offending value, and what was expected — never a silent
-//! fallback to a default the user did not ask for.
+//! Five environment variables steer every experiment, and none of them
+//! changes what an experiment runs beyond its seed and scale:
+//! `HCLOUD_SEED` and `HCLOUD_FAST` pick the seed and the scale;
+//! `HCLOUD_JOBS`, `HCLOUD_TRACE` and `HCLOUD_AUDIT` only observe a run
+//! (worker count, tracing, conservation audit) and leave its bytes alone.
+//! Everything else about a run, its fault plan included, is in its
+//! [`crate::RunSpec`].
+//!
+//! [`ExperimentCtx::from_env`] is the one reader of the environment.
+//! Each variable is parsed exactly once, and a malformed value is a hard
+//! error naming the variable, the offending value, and what was expected;
+//! so is any other set `HCLOUD_*` variable, so a stale or misspelt knob
+//! never runs an experiment the user did not ask for.
 
-use hcloud::{StrategyId, StrategyRegistry};
 use hcloud_audit::AuditMode;
-use hcloud_faults::FaultPlanId;
-use hcloud_sim::rng::RngFactory;
 use hcloud_telemetry::TraceMode;
-use hcloud_workloads::{Scenario, ScenarioConfig, ScenarioKind};
+use hcloud_workloads::{ScenarioConfig, ScenarioKind};
 
-/// The ambient experiment context: the seven `HCLOUD_*` variables,
+/// The variables [`ExperimentCtx::from_env`] reads, in
+/// [`ExperimentCtx::parse`]'s argument order.
+const VARIABLES: [&str; 5] = [
+    "HCLOUD_SEED",
+    "HCLOUD_FAST",
+    "HCLOUD_JOBS",
+    "HCLOUD_TRACE",
+    "HCLOUD_AUDIT",
+];
+
+/// The ambient experiment context: the five `HCLOUD_*` variables,
 /// parsed and typed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentCtx {
@@ -31,18 +44,10 @@ pub struct ExperimentCtx {
     /// (phase spans on stderr), or `full` (spans + per-run flight
     /// recorder).
     pub trace: TraceMode,
-    /// Ambient fault plan (`HCLOUD_FAULTS`): `off` (default) or a
-    /// built-in plan name. Applied to every run whose spec does not set
-    /// its own plan.
-    pub faults: FaultPlanId,
     /// Conservation-audit mode (`HCLOUD_AUDIT`): `off` (default),
     /// `final` (identities checked at end of run) or `strict`
     /// (violations abort at the offending event).
     pub audit: AuditMode,
-    /// Strategy focus (`HCLOUD_STRATEGY`): restrict an experiment's sweep
-    /// to one registered strategy (registry id or short name); `None`
-    /// runs the experiment's full strategy set.
-    pub strategy: Option<StrategyId>,
 }
 
 impl Default for ExperimentCtx {
@@ -52,9 +57,7 @@ impl Default for ExperimentCtx {
             fast: false,
             jobs: None,
             trace: TraceMode::Off,
-            faults: FaultPlanId::Off,
             audit: AuditMode::Off,
-            strategy: None,
         }
     }
 }
@@ -86,25 +89,13 @@ impl ExperimentCtx {
         self
     }
 
-    /// Sets the ambient fault plan.
-    pub fn with_faults(mut self, faults: FaultPlanId) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Sets the conservation-audit mode.
     pub fn with_audit(mut self, audit: AuditMode) -> Self {
         self.audit = audit;
         self
     }
 
-    /// Sets the strategy focus.
-    pub fn with_strategy(mut self, strategy: StrategyId) -> Self {
-        self.strategy = Some(strategy);
-        self
-    }
-
-    /// Parses the seven ambient variables from their raw string values.
+    /// Parses the five variables from their raw string values.
     /// Malformed values are an error with a message naming the variable,
     /// the offending value, and what was expected.
     pub fn parse(
@@ -112,9 +103,7 @@ impl ExperimentCtx {
         fast: Option<&str>,
         jobs: Option<&str>,
         trace: Option<&str>,
-        faults: Option<&str>,
         audit: Option<&str>,
-        strategy: Option<&str>,
     ) -> Result<Self, String> {
         let master_seed = match seed {
             None => 42,
@@ -142,42 +131,46 @@ impl ExperimentCtx {
                 }
             },
         };
-        let trace = TraceMode::parse(trace)?;
-        let faults = FaultPlanId::parse(faults)?;
-        let audit = AuditMode::parse(audit)?;
-        let strategy = match strategy {
-            None => None,
-            Some(s) => Some(s.trim().parse::<StrategyId>().map_err(|_| {
-                format!(
-                    "invalid HCLOUD_STRATEGY {s:?}: expected a registered strategy id or \
-                     short name ({})",
-                    StrategyRegistry::builtin().ids().join(", ")
-                )
-            })?),
-        };
         Ok(ExperimentCtx {
             master_seed,
             fast,
             jobs,
-            trace,
-            faults,
-            audit,
-            strategy,
+            trace: TraceMode::parse(trace)?,
+            audit: AuditMode::parse(audit)?,
         })
     }
 
-    /// Reads the seven `HCLOUD_*` variables from the process environment.
+    /// Reads the five `HCLOUD_*` variables from the process environment.
+    /// Any other set `HCLOUD_*` variable is an error naming it.
     pub fn from_env() -> Result<Self, String> {
-        let var = |name: &str| std::env::var(name).ok();
-        Self::parse(
-            var("HCLOUD_SEED").as_deref(),
-            var("HCLOUD_FAST").as_deref(),
-            var("HCLOUD_JOBS").as_deref(),
-            var("HCLOUD_TRACE").as_deref(),
-            var("HCLOUD_FAULTS").as_deref(),
-            var("HCLOUD_AUDIT").as_deref(),
-            var("HCLOUD_STRATEGY").as_deref(),
-        )
+        let mut vars = Vec::new();
+        for (name, value) in std::env::vars_os() {
+            let Some(name) = name.to_str().filter(|n| n.starts_with("HCLOUD_")) else {
+                continue;
+            };
+            let value = value
+                .into_string()
+                .map_err(|raw| format!("invalid {name} {raw:?}: not UTF-8"))?;
+            vars.push((name.to_string(), value));
+        }
+        Self::from_vars(vars)
+    }
+
+    /// [`Self::from_env`] over the `(name, value)` pairs of the set
+    /// `HCLOUD_*` variables.
+    fn from_vars(vars: impl IntoIterator<Item = (String, String)>) -> Result<Self, String> {
+        let mut values: [Option<String>; 5] = Default::default();
+        for (name, value) in vars {
+            let Some(slot) = VARIABLES.iter().position(|v| *v == name) else {
+                return Err(format!(
+                    "unknown variable {name}: the known HCLOUD_* variables are {}",
+                    VARIABLES.join(", ")
+                ));
+            };
+            values[slot] = Some(value);
+        }
+        let [seed, fast, jobs, trace, audit] = values.each_ref().map(Option::as_deref);
+        Self::parse(seed, fast, jobs, trace, audit)
     }
 
     /// [`Self::from_env`] for binaries: prints the error and exits 2
@@ -199,13 +192,6 @@ impl ExperimentCtx {
         }
     }
 
-    /// Generates the scenario for `kind` under `seed` (ambient seed if
-    /// `None`) in this context's scale.
-    pub fn scenario(&self, kind: ScenarioKind, seed: Option<u64>) -> Scenario {
-        let seed = seed.unwrap_or(self.master_seed);
-        Scenario::generate(self.scenario_config(kind), &RngFactory::new(seed))
-    }
-
     /// Worker threads for a plan of `runs` independent simulations.
     pub fn worker_count(&self, runs: usize) -> usize {
         let pool = self
@@ -219,86 +205,55 @@ impl ExperimentCtx {
 mod tests {
     use super::*;
 
-    /// Which of the seven variables a table row exercises.
-    #[derive(Clone, Copy)]
-    enum Var {
-        Seed,
-        Fast,
-        Jobs,
-        Trace,
-        Faults,
-        Audit,
-        Strategy,
-    }
-
-    fn parse_one(var: Var, value: &str) -> Result<ExperimentCtx, String> {
-        let v = Some(value);
-        match var {
-            Var::Seed => ExperimentCtx::parse(v, None, None, None, None, None, None),
-            Var::Fast => ExperimentCtx::parse(None, v, None, None, None, None, None),
-            Var::Jobs => ExperimentCtx::parse(None, None, v, None, None, None, None),
-            Var::Trace => ExperimentCtx::parse(None, None, None, v, None, None, None),
-            Var::Faults => ExperimentCtx::parse(None, None, None, None, v, None, None),
-            Var::Audit => ExperimentCtx::parse(None, None, None, None, None, v, None),
-            Var::Strategy => ExperimentCtx::parse(None, None, None, None, None, None, v),
-        }
+    /// Parses one variable set to `value`, the others unset.
+    fn parse_one(var: &str, value: &str) -> Result<ExperimentCtx, String> {
+        ExperimentCtx::from_vars([(var.to_string(), value.to_string())])
     }
 
     #[test]
     fn table_of_valid_and_malformed_values() {
         // (variable, raw value, Ok(check) | Err(expected substrings)).
         type Check = fn(&ExperimentCtx) -> bool;
-        let ok: Vec<(Var, &str, Check)> = vec![
-            (Var::Seed, "7", |o| o.master_seed == 7),
-            (Var::Seed, " 123 ", |o| o.master_seed == 123),
-            (Var::Fast, "1", |o| o.fast),
-            (Var::Fast, "0", |o| !o.fast),
-            (Var::Jobs, "1", |o| o.jobs == Some(1)),
-            (Var::Jobs, "8", |o| o.jobs == Some(8)),
-            (Var::Trace, "off", |o| o.trace == TraceMode::Off),
-            (Var::Trace, "summary", |o| o.trace == TraceMode::Summary),
-            (Var::Trace, "full", |o| o.trace == TraceMode::Full),
-            (Var::Faults, "off", |o| o.faults == FaultPlanId::Off),
-            (Var::Faults, "full-chaos", |o| {
-                o.faults == FaultPlanId::FullChaos
-            }),
-            (Var::Audit, "off", |o| o.audit == AuditMode::Off),
-            (Var::Audit, "final", |o| o.audit == AuditMode::Final),
-            (Var::Audit, "strict", |o| o.audit == AuditMode::Strict),
-            (Var::Strategy, "hybrid-mixed", |o| {
-                o.strategy == Some(StrategyId::HM)
-            }),
-            (Var::Strategy, "HM", |o| o.strategy == Some(StrategyId::HM)),
-            (Var::Strategy, "reservation-autoscale", |o| {
-                o.strategy == Some(StrategyId::RA)
-            }),
-            (Var::Strategy, "qc", |o| o.strategy == Some(StrategyId::QC)),
+        let ok: Vec<(&str, &str, Check)> = vec![
+            ("HCLOUD_SEED", "7", |o| o.master_seed == 7),
+            ("HCLOUD_SEED", " 123 ", |o| o.master_seed == 123),
+            ("HCLOUD_FAST", "1", |o| o.fast),
+            ("HCLOUD_FAST", "0", |o| !o.fast),
+            ("HCLOUD_JOBS", "1", |o| o.jobs == Some(1)),
+            ("HCLOUD_JOBS", "8", |o| o.jobs == Some(8)),
+            ("HCLOUD_TRACE", "off", |o| o.trace == TraceMode::Off),
+            ("HCLOUD_TRACE", "summary", |o| o.trace == TraceMode::Summary),
+            ("HCLOUD_TRACE", "full", |o| o.trace == TraceMode::Full),
+            ("HCLOUD_AUDIT", "off", |o| o.audit == AuditMode::Off),
+            ("HCLOUD_AUDIT", "final", |o| o.audit == AuditMode::Final),
+            ("HCLOUD_AUDIT", "strict", |o| o.audit == AuditMode::Strict),
         ];
         for (var, value, check) in ok {
             let ctx = parse_one(var, value)
-                .unwrap_or_else(|e| panic!("{value:?} should parse, got: {e}"));
-            assert!(check(&ctx), "{value:?} parsed to the wrong value");
+                .unwrap_or_else(|e| panic!("{var}={value:?} should parse, got: {e}"));
+            assert!(check(&ctx), "{var}={value:?} parsed to the wrong value");
         }
 
-        let bad: Vec<(Var, &str, &[&str])> = vec![
-            (Var::Seed, "banana", &["HCLOUD_SEED", "banana"]),
-            (Var::Seed, "-1", &["HCLOUD_SEED", "-1"]),
-            (Var::Fast, "yes", &["HCLOUD_FAST", "yes"]),
-            (Var::Fast, "2", &["HCLOUD_FAST", "2"]),
-            (Var::Jobs, "0", &["HCLOUD_JOBS", "0"]),
-            (Var::Jobs, "many", &["HCLOUD_JOBS", "many"]),
-            (Var::Trace, "loud", &["HCLOUD_TRACE", "loud"]),
-            (Var::Faults, "mayhem", &["HCLOUD_FAULTS", "mayhem"]),
-            (Var::Audit, "paranoid", &["HCLOUD_AUDIT", "paranoid"]),
+        let bad: Vec<(&str, &str, &[&str])> = vec![
+            ("HCLOUD_SEED", "banana", &["HCLOUD_SEED", "banana"]),
+            ("HCLOUD_SEED", "-1", &["HCLOUD_SEED", "-1"]),
+            ("HCLOUD_FAST", "yes", &["HCLOUD_FAST", "yes"]),
+            ("HCLOUD_FAST", "2", &["HCLOUD_FAST", "2"]),
+            ("HCLOUD_JOBS", "0", &["HCLOUD_JOBS", "0"]),
+            ("HCLOUD_JOBS", "many", &["HCLOUD_JOBS", "many"]),
+            ("HCLOUD_TRACE", "loud", &["HCLOUD_TRACE", "loud"]),
+            ("HCLOUD_AUDIT", "paranoid", &["HCLOUD_AUDIT", "paranoid"]),
+            // Removed and misspelt variables are errors, never ignored.
             (
-                Var::Strategy,
-                "bogus",
-                &["HCLOUD_STRATEGY", "bogus", "queueing-capacity"],
+                "HCLOUD_FAULTS",
+                "full-chaos",
+                &["HCLOUD_FAULTS", "HCLOUD_AUDIT"],
             ),
+            ("HCLOUD_SEEDS", "7", &["HCLOUD_SEEDS"]),
         ];
         for (var, value, needles) in bad {
-            let e =
-                parse_one(var, value).expect_err(&format!("{value:?} should be rejected loudly"));
+            let e = parse_one(var, value)
+                .expect_err(&format!("{var}={value:?} should be rejected loudly"));
             for needle in needles {
                 assert!(e.contains(needle), "error {e:?} should mention {needle:?}");
             }
@@ -307,9 +262,17 @@ mod tests {
 
     #[test]
     fn unset_environment_is_all_defaults() {
-        let ctx = ExperimentCtx::parse(None, None, None, None, None, None, None).unwrap();
+        let ctx = ExperimentCtx::parse(None, None, None, None, None).unwrap();
         assert_eq!(ctx, ExperimentCtx::default());
         assert_eq!(ctx.master_seed, 42);
-        assert_eq!(ctx.strategy, None);
+        assert_eq!(ExperimentCtx::from_vars([]), Ok(ctx));
+    }
+
+    #[test]
+    fn worker_count_clamps_to_plan_size() {
+        let ctx = ExperimentCtx::new(1).with_jobs(8);
+        assert_eq!(ctx.worker_count(3), 3);
+        assert_eq!(ctx.worker_count(0), 1);
+        assert_eq!(ctx.worker_count(100), 8);
     }
 }

@@ -21,10 +21,8 @@ use hcloud_faults::FaultPlanId;
 use hcloud_pricing::{PricingModel, Rates};
 use hcloud_workloads::ScenarioKind;
 
+use crate::tenancy::slo_attainment;
 use crate::{ExperimentPlan, Harness, RunSpec, Table};
-
-/// Jobs at or above this normalized performance kept their SLO.
-const SLO_THRESHOLD: f64 = 0.7;
 
 /// Runs the experiment.
 pub fn run(h: &mut Harness) {
@@ -62,11 +60,7 @@ pub fn run(h: &mut Harness) {
         let base_cost = h.run(spec(strategy, 0.0)).cost(&rates, &model).total();
         for &intensity in &intensities {
             let r = h.run(spec(strategy, intensity));
-            let survival = {
-                let perfs = r.normalized_perf(None);
-                let kept = perfs.iter().filter(|&&p| p >= SLO_THRESHOLD).count();
-                kept as f64 / perfs.len().max(1) as f64
-            };
+            let survival = slo_attainment(&r);
             let cost = r.cost(&rates, &model).total();
             let overhead = cost / base_cost.max(1e-9);
             t.row(vec![

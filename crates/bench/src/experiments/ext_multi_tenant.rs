@@ -44,18 +44,8 @@ use hcloud_tenancy::{TenancyPlan, TenantSpec};
 use hcloud_workloads::{AppClass, JobId, JobKind, JobSpec, Scenario, ScenarioConfig, ScenarioKind};
 
 use crate::fleet::run_digest;
+use crate::tenancy::{slo_attainment, zipf_plan, GUARANTEE_FRAC, SLO_THRESHOLD, ZIPF_SKEW};
 use crate::{artifacts, report, ExperimentPlan, Harness, RunSpec, Table};
-
-/// Jobs at or above this normalized performance kept their SLO.
-const SLO_THRESHOLD: f64 = 0.7;
-
-/// Zipf skew for the tenant weight distribution (rank-1 tenants carry
-/// most of the demand, the tail is long and thin).
-const ZIPF_SKEW: f64 = 1.1;
-
-/// Fraction of the pool handed out as hard guarantees; the rest is
-/// elastic headroom tenants borrow against.
-const GUARANTEE_FRAC: f64 = 0.5;
 
 /// The strategies under test: the static baseline and the paper's best
 /// hybrid.
@@ -63,33 +53,6 @@ const STRATEGIES: [StrategyId; 2] = [StrategyId::SR, StrategyId::HM];
 
 /// Scenario variants per strategy.
 const VARIANTS: [&str; 3] = ["untenanted", "tenanted", "tenanted-chaos"];
-
-/// Sizes the shared pool to the scenario's mean concurrent core demand:
-/// total demanded core-seconds over the arrival window. Tight enough
-/// that tenants actually contend, wide enough that the largest job fits.
-fn pool_for(scenario: &Scenario) -> u32 {
-    let total: f64 = scenario
-        .jobs()
-        .iter()
-        .map(|j| match j.kind {
-            JobKind::Batch { work_core_secs } => work_core_secs,
-            JobKind::LatencyCritical { lifetime, .. } => j.cores as f64 * lifetime.as_secs_f64(),
-        })
-        .sum();
-    let window = scenario.config().duration.as_secs_f64().max(1.0);
-    let avg = (total / window).ceil() as u32;
-    let widest = scenario.jobs().iter().map(|j| j.cores).max().unwrap_or(1);
-    avg.max(widest).max(8)
-}
-
-/// The Zipf-skewed tenant population with every scenario job assigned to
-/// a tenant by weighted draw from one named RNG stream.
-fn tenant_plan(scenario: &Scenario, tenants: usize, rng: &mut SimRng) -> TenancyPlan {
-    let mut plan = TenancyPlan::zipf(tenants, ZIPF_SKEW, pool_for(scenario), GUARANTEE_FRAC);
-    let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
-    plan.assign_jobs(&ids, rng);
-    plan
-}
 
 /// The run spec for one (strategy, variant) cell.
 fn spec(
@@ -111,13 +74,6 @@ fn spec(
     } else {
         s
     }
-}
-
-/// Fraction of `r`'s jobs that kept their SLO.
-fn slo_attainment(r: &RunResult) -> f64 {
-    let perfs = r.normalized_perf(None);
-    let kept = perfs.iter().filter(|&&p| p >= SLO_THRESHOLD).count();
-    kept as f64 / perfs.len().max(1) as f64
 }
 
 /// A deterministic batch job for the starvation micro-demo (mirrors the
@@ -176,7 +132,7 @@ pub fn run(h: &mut Harness) {
     // The base scenario and its tenanted twin share every job byte; only
     // the attached plan differs.
     let base = Arc::new(h.scenario(ScenarioKind::HighVariability).clone());
-    let plan = tenant_plan(&base, tenants, &mut h.factory().stream("tenant-assign"));
+    let plan = zipf_plan(&base, tenants, &mut h.factory().stream("tenant-assign"));
     if let Err(e) = plan.validate() {
         artifacts::artifact_failure("ext_multi_tenant plan", e);
         return;

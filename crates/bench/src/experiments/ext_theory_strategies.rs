@@ -19,8 +19,7 @@
 //! (a Zipf-weighted tenant population gating admissions: 2000 tenants
 //! in full mode, 200 under `HCLOUD_FAST=1`) — and reports SLO
 //! attainment (normalized performance ≥ 0.7), total cost, makespan and
-//! the per-cell digest. `HCLOUD_STRATEGY` focuses the grid on one
-//! registered strategy.
+//! the per-cell digest.
 //!
 //! `cargo test`'s golden walk compares the fast-mode run with the
 //! committed `crates/bench/goldens/ext_theory_strategies_fast.json` and
@@ -29,59 +28,22 @@
 
 use std::sync::Arc;
 
-use hcloud::{RunResult, StrategyRef, StrategyRegistry};
+use hcloud::{StrategyRef, StrategyRegistry};
 use hcloud_faults::FaultPlanId;
 use hcloud_json::{ObjectBuilder, Value};
 use hcloud_pricing::{PricingModel, Rates};
-use hcloud_sim::rng::SimRng;
-use hcloud_tenancy::TenancyPlan;
-use hcloud_workloads::{JobKind, Scenario, ScenarioKind};
+use hcloud_workloads::{Scenario, ScenarioKind};
 
 use crate::fleet::run_digest;
+use crate::tenancy::{slo_attainment, zipf_plan, GUARANTEE_FRAC, ZIPF_SKEW};
 use crate::{artifacts, report, ExperimentPlan, Harness, RunSpec, Table};
 
-/// Jobs at or above this normalized performance kept their SLO.
-const SLO_THRESHOLD: f64 = 0.7;
-
-/// Zipf skew for the tenant weight distribution.
-const ZIPF_SKEW: f64 = 1.1;
-
-/// Fraction of the pool handed out as hard guarantees.
-const GUARANTEE_FRAC: f64 = 0.5;
-
-/// The default grid: the paper's two hybrids as the baseline, then the
-/// two theory-grounded newcomers.
+/// The grid: the paper's two hybrids as the baseline, then the two
+/// theory-grounded newcomers.
 const SHORT_NAMES: [&str; 4] = ["HF", "HM", "RA", "QC"];
 
 /// Scenario variants per strategy.
 const VARIANTS: [&str; 3] = ["plain", "chaos", "tenant-zipf"];
-
-/// Sizes the shared pool to the scenario's mean concurrent core demand
-/// (same sizing rule as `ext_multi_tenant`): tight enough that tenants
-/// contend, wide enough that the largest job fits.
-fn pool_for(scenario: &Scenario) -> u32 {
-    let total: f64 = scenario
-        .jobs()
-        .iter()
-        .map(|j| match j.kind {
-            JobKind::Batch { work_core_secs } => work_core_secs,
-            JobKind::LatencyCritical { lifetime, .. } => j.cores as f64 * lifetime.as_secs_f64(),
-        })
-        .sum();
-    let window = scenario.config().duration.as_secs_f64().max(1.0);
-    let avg = (total / window).ceil() as u32;
-    let widest = scenario.jobs().iter().map(|j| j.cores).max().unwrap_or(1);
-    avg.max(widest).max(8)
-}
-
-/// The Zipf-skewed tenant population with every scenario job assigned to
-/// a tenant by weighted draw from one named RNG stream.
-fn tenant_plan(scenario: &Scenario, tenants: usize, rng: &mut SimRng) -> TenancyPlan {
-    let mut plan = TenancyPlan::zipf(tenants, ZIPF_SKEW, pool_for(scenario), GUARANTEE_FRAC);
-    let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
-    plan.assign_jobs(&ids, rng);
-    plan
-}
 
 /// The run spec for one (strategy, variant) cell.
 fn spec(
@@ -104,35 +66,23 @@ fn spec(
     }
 }
 
-/// Fraction of `r`'s jobs that kept their SLO.
-fn slo_attainment(r: &RunResult) -> f64 {
-    let perfs = r.normalized_perf(None);
-    let kept = perfs.iter().filter(|&&p| p >= SLO_THRESHOLD).count();
-    kept as f64 / perfs.len().max(1) as f64
-}
-
 /// Runs the experiment.
 pub fn run(h: &mut Harness) {
     let rates = Rates::default();
     let model = PricingModel::aws();
     let tenants = if h.ctx().fast { 200 } else { 2000 };
 
-    // HCLOUD_STRATEGY narrows the grid to one registered strategy; the
-    // default grid is the paper hybrids plus the two newcomers.
-    let strategies: Vec<StrategyRef> = match h.ctx().strategy {
-        Some(id) => vec![id.resolve()],
-        None => SHORT_NAMES
-            .iter()
-            .map(|s| {
-                StrategyRegistry::builtin()
-                    .get(s)
-                    .expect("builtin strategy")
-            })
-            .collect(),
-    };
+    let strategies: Vec<StrategyRef> = SHORT_NAMES
+        .iter()
+        .map(|s| {
+            StrategyRegistry::builtin()
+                .get(s)
+                .expect("builtin strategy")
+        })
+        .collect();
 
     let base = Arc::new(h.scenario(ScenarioKind::HighVariability).clone());
-    let plan = tenant_plan(&base, tenants, &mut h.factory().stream("tenant-assign"));
+    let plan = zipf_plan(&base, tenants, &mut h.factory().stream("tenant-assign"));
     if let Err(e) = plan.validate() {
         artifacts::artifact_failure("ext_theory_strategies plan", e);
         return;

@@ -18,7 +18,7 @@
 //!   committed `crates/bench/goldens/BENCH_fleet_fast.json`, and CI fails
 //!   on a >25% wall-clock regression.
 //!
-//! Worker-count identity is the engine's own property;
+//! Worker-count identity is the harness's own property;
 //! `crates/bench/tests/fleet_identity.rs` checks it on this scenario.
 //!
 //! Timings go to stderr; `results/BENCH_fleet.json` carries the numbers.

@@ -17,48 +17,50 @@
 //! distinct run once; the stdout of several ids is their per-id stdouts
 //! concatenated. The library holds the shared plumbing:
 //!
-//! * [`engine`] — the parallel experiment engine: typed [`RunSpec`]
-//!   points submitted as an [`ExperimentPlan`], fanned out across a
-//!   scoped thread pool, collected deterministically in plan order;
-//! * [`harness`] — a caching facade over the engine, so experiments that
-//!   only re-bill the same run (Figures 12, 13, 17) run each simulation
-//!   once;
+//! * [`plan`] — what an experiment submits: typed [`RunSpec`] points
+//!   gathered into an [`ExperimentPlan`], and the [`RunTrace`] a traced
+//!   run records;
+//! * [`harness`] — the one layer between an experiment and
+//!   `run_scenario`: a run cache keyed by the full spec, one scenario map,
+//!   and a scoped thread pool that collects results in plan order, so
+//!   experiments that only re-bill the same run (Figures 12, 13, 17) run
+//!   each simulation once;
+//! * [`tenancy`] — the Zipf tenant population and the SLO measure the
+//!   tenancy and fault experiments and `hcloud-cli tenants` share;
 //! * [`report`] — aligned text tables, ASCII sparklines/heatmaps, and
 //!   JSON export, so every experiment prints the same rows/series the
 //!   paper plots and dumps machine-readable data under `results/`.
 //!
-//! Every experiment honours `HCLOUD_FAST=1` to shrink scenarios for smoke
-//! runs, `HCLOUD_SEED=<n>` to change the master seed, and
-//! `HCLOUD_JOBS=<n>` to pin the engine's worker count (default:
-//! `available_parallelism`). Results are bit-identical for any worker
-//! count. `HCLOUD_TRACE=summary` adds per-phase spans to the stderr
-//! telemetry; `HCLOUD_TRACE=full` additionally records every simulated
-//! run as a structured JSONL trace under `results/traces/` (replay with
-//! `hcloud-cli trace`), flushed as each experiment ends. A run an earlier
-//! experiment in the same process already simulated is served from the
-//! cache and not traced again. Traces are stamped with sim time only, so
-//! they too are bit-identical for any worker count.
-//! `HCLOUD_FAULTS=<plan>` overlays a deterministic fault-injection plan
-//! (`hcloud-cli faults` lists the built-ins) onto every run that does
-//! not set its own; the default `off` injects nothing and consumes no
-//! randomness. Malformed values are a hard error (exit 2), as is an
-//! unknown experiment id.
+//! Five `HCLOUD_*` variables steer a run ([`ExperimentCtx`]):
+//! `HCLOUD_SEED=<n>` changes the master seed and `HCLOUD_FAST=1` shrinks
+//! scenarios for smoke runs; the other three only observe.
+//! `HCLOUD_JOBS=<n>` pins the worker count (default:
+//! `available_parallelism`), and results are bit-identical for any
+//! worker count. `HCLOUD_TRACE=summary` adds per-phase spans to the
+//! stderr telemetry; `HCLOUD_TRACE=full` additionally records every
+//! simulated run as a structured JSONL trace under `results/traces/`
+//! (replay with `hcloud-cli trace`), one file per run, flushed as each
+//! experiment ends. A run an earlier experiment in the same process
+//! already simulated is served from the cache and not traced again.
+//! Traces are stamped with sim time only, so they too are bit-identical
+//! for any worker count. `HCLOUD_AUDIT` runs the conservation audit
+//! (exit 3 on a violation). A malformed value, any other `HCLOUD_*`
+//! variable, or an unknown experiment id is a hard error (exit 2).
 
 pub mod artifacts;
 pub mod dashboard;
-pub mod engine;
 pub mod env;
 pub mod experiments;
 pub mod fleet;
 pub mod harness;
+pub mod plan;
 pub mod plot;
 pub mod registry;
 pub mod report;
+pub mod tenancy;
 
-pub use engine::{
-    Engine, ExperimentPlan, PlanOutcome, PlanTelemetry, RunSpec, RunTelemetry, RunTrace,
-};
 pub use env::ExperimentCtx;
 pub use harness::Harness;
+pub use plan::{ExperimentPlan, RunSpec, RunTrace};
 pub use registry::{ExperimentInfo, ExperimentKind};
 pub use report::{heatmap_row, sparkline, Table};

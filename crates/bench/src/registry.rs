@@ -18,8 +18,8 @@
 //!   [`ALL`] against `results/`, the goldens and the committed
 //!   `BENCH_*.json` files to render `docs/alignment/STATUS.md`;
 //! * the golden walk (`tests/goldens.rs`) runs every entry with a
-//!   [`ExperimentInfo::golden`] and checks it, and its audit and trace
-//!   coverage.
+//!   [`ExperimentInfo::golden`] or [`ExperimentInfo::audit_covered`] and
+//!   checks its golden and its audit and trace coverage.
 //!
 //! The `experiments!` table names each entry by its module, so an id
 //! cannot drift from its code. A completeness test pins the registry to
@@ -86,16 +86,16 @@ pub struct ExperimentInfo {
     /// (`tests/goldens.rs`) runs the experiment FAST and requires its
     /// first artifact to hold every field of the golden.
     pub golden: Option<&'static str>,
-    /// The experiment is run under `HCLOUD_TRACE=full`: for a golden
-    /// entry by the golden walk's checked run, which also replays the
-    /// traces offline; otherwise by a CI job.
+    /// The golden walk's checked run (see `audit_covered`) also sets
+    /// `HCLOUD_TRACE=full`, requires one trace file per simulated run and
+    /// replays each offline. Needs `audit_covered`.
     pub trace_covered: bool,
-    /// The experiment is run under `HCLOUD_AUDIT=strict` and must keep
-    /// its bytes: for a golden entry by the golden walk's checked run,
-    /// with four workers; otherwise by a CI job.
+    /// The golden walk (`tests/goldens.rs`) reruns the experiment FAST
+    /// under `HCLOUD_JOBS=4 HCLOUD_AUDIT=strict`, and it must keep its
+    /// stdout and artifacts byte for byte.
     pub audit_covered: bool,
-    /// Some of the experiment's runs have an active fault plan: its own
-    /// chaos variants, or CI's `HCLOUD_FAULTS`.
+    /// Some of the experiment's runs carry an active fault plan in their
+    /// own configuration (its chaos variants).
     pub fault_covered: bool,
     /// The CI job that executes the experiment (`"manual"` when none
     /// does).
@@ -163,7 +163,7 @@ experiments! {
         trace_covered: true,
         audit_covered: true,
         fault_covered: true,
-        ci_job: "smoke",
+        ci_job: "test",
     }
     ext_long_horizon => {
         paper_ref: "§5.5 long-horizon + spot market",
@@ -494,7 +494,7 @@ experiments! {
         trace_covered: true,
         audit_covered: true,
         fault_covered: false,
-        ci_job: "smoke",
+        ci_job: "test",
     }
     tab01_03_strategies => {
         paper_ref: "Tables 1 & 3",
@@ -631,7 +631,7 @@ mod tests {
 
     #[test]
     fn ci_jobs_use_known_names() {
-        let jobs: BTreeSet<&str> = ["test", "perf", "smoke", "dashboard", "manual"]
+        let jobs: BTreeSet<&str> = ["test", "perf", "dashboard", "manual"]
             .into_iter()
             .collect();
         for e in ALL {

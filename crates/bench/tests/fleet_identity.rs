@@ -1,6 +1,6 @@
 //! Worker-count digest identity for the `perf_fleet` scenario.
 //!
-//! The engine promises results are bit-identical regardless of
+//! The harness promises results are bit-identical regardless of
 //! `HCLOUD_JOBS`; this pins that promise on the fleet bench's fast-mode
 //! scenario, and pins both digests of its two-seed plan (seed 42's is
 //! the committed `crates/bench/goldens/BENCH_fleet_fast.json` digest).
@@ -9,9 +9,18 @@ use std::sync::Arc;
 
 use hcloud::{RunConfig, StrategyId};
 use hcloud_bench::fleet::{fleet_config, run_digest};
-use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
+use hcloud_bench::{ExperimentCtx, ExperimentPlan, Harness, RunSpec};
 use hcloud_sim::rng::RngFactory;
 use hcloud_workloads::Scenario;
+
+/// The digests of `plan`'s runs under seed 42 and `jobs` workers.
+fn digests(jobs: usize, plan: ExperimentPlan) -> Vec<String> {
+    Harness::with_ctx(ExperimentCtx::new(42).with_jobs(jobs))
+        .run_plan(plan)
+        .iter()
+        .map(|r| run_digest(r))
+        .collect()
+}
 
 #[test]
 fn fleet_fast_digests_are_identical_across_worker_counts() {
@@ -20,7 +29,6 @@ fn fleet_fast_digests_are_identical_across_worker_counts() {
     let digests: Vec<Vec<String>> = [1usize, 4]
         .iter()
         .map(|&jobs| {
-            let engine = Engine::new(ExperimentCtx::new(42).with_jobs(jobs));
             let mut plan = ExperimentPlan::new();
             plan.push(RunSpec::on(scenario.clone(), StrategyId::ODM).config(config.clone()));
             plan.push(
@@ -28,12 +36,7 @@ fn fleet_fast_digests_are_identical_across_worker_counts() {
                     .config(config.clone())
                     .seed(43),
             );
-            engine
-                .run_plan(&plan)
-                .results
-                .iter()
-                .map(run_digest)
-                .collect()
+            digests(jobs, plan)
         })
         .collect();
     assert_eq!(
@@ -63,16 +66,10 @@ fn new_strategy_digests_are_identical_across_worker_counts() {
         let digests: Vec<Vec<String>> = [1usize, 4]
             .iter()
             .map(|&jobs| {
-                let engine = Engine::new(ExperimentCtx::new(42).with_jobs(jobs));
                 let mut plan = ExperimentPlan::new();
                 plan.push(RunSpec::on(scenario.clone(), &strategy));
                 plan.push(RunSpec::on(scenario.clone(), &strategy).seed(43));
-                engine
-                    .run_plan(&plan)
-                    .results
-                    .iter()
-                    .map(run_digest)
-                    .collect()
+                digests(jobs, plan)
             })
             .collect();
         assert_eq!(
@@ -102,17 +99,11 @@ fn tenanted_digests_are_identical_across_worker_counts() {
     let digests: Vec<Vec<String>> = [1usize, 4]
         .iter()
         .map(|&jobs| {
-            let engine = Engine::new(ExperimentCtx::new(42).with_jobs(jobs));
             let plan: ExperimentPlan = [StrategyId::SR, StrategyId::HM]
                 .iter()
                 .map(|&s| RunSpec::on(scenario.clone(), s))
                 .collect();
-            engine
-                .run_plan(&plan)
-                .results
-                .iter()
-                .map(run_digest)
-                .collect()
+            digests(jobs, plan)
         })
         .collect();
     assert_eq!(

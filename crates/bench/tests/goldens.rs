@@ -1,98 +1,59 @@
-//! Every registered golden reproduces, and every audited golden
-//! experiment keeps its bytes under more workers, strict audit and
-//! tracing.
+//! Every registered golden reproduces, and every audited experiment
+//! keeps its bytes under more workers, strict audit and tracing.
 //!
-//! One test walks `registry::ALL`, so a new golden is checked by its
-//! `golden` field and file alone. For each entry with a golden:
+//! One test walks `registry::ALL`, so a new golden or audited entry is
+//! checked by its registry fields alone. For each entry with a golden or
+//! `audit_covered`:
 //!
 //! 1. **Plain run.** `hcloud-bench <id>` runs FAST with one worker in a
 //!    fresh directory, every other `HCLOUD_*` variable cleared, and must
-//!    exit 0. Its artifact `results/<artifacts[0]>.json` must hold every
-//!    key of the golden with an equal value, recursively: arrays compare
-//!    index by index and must be equally long. Only the [`WALL_CLOCK`]
-//!    keys are skipped; CI's regression guards read those.
+//!    exit 0. When the entry has a golden, its artifact
+//!    `results/<artifacts[0]>.json` must hold every key of the golden
+//!    with an equal value, recursively: arrays compare index by index and
+//!    must be equally long. Only the [`WALL_CLOCK`] keys are skipped;
+//!    CI's regression guards read those.
 //! 2. **Checked run**, when the entry is `audit_covered`. The same run
 //!    with `HCLOUD_JOBS=4 HCLOUD_AUDIT=strict`, plus `HCLOUD_TRACE=full`
 //!    when it is `trace_covered`, must exit 0, print the plain run's
 //!    stdout and write its `results/*.json` byte for byte. A traced run
-//!    must record at least one trace, and each must replay clean through
+//!    must leave one trace file per run its `[id] engine: N simulated`
+//!    line counts, and each must replay clean through
 //!    `hcloud_audit::replay_file`.
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
+use std::path::Path;
+
+use common::Run;
 use hcloud_bench::registry::{self, ExperimentInfo};
 use hcloud_json::Value;
 
 /// Keys holding wall-clock time, which differs between any two runs.
 const WALL_CLOCK: [&str; 3] = ["wall_ms", "total_wall_ms", "quantile_churn_ms"];
 
-/// One finished `hcloud-bench` run; its directory goes when it drops.
-struct Run {
-    dir: PathBuf,
-    out: Output,
+/// Runs `hcloud-bench <id>` with `HCLOUD_FAST=1` plus `env`, every other
+/// `HCLOUD_*` variable cleared, in a fresh directory named after `tag`.
+/// Panics unless it exits 0.
+fn fast(id: &str, tag: &str, env: &[(&str, &str)]) -> Run {
+    let mut all = vec![("HCLOUD_FAST", "1")];
+    all.extend_from_slice(env);
+    let run = Run::new(&format!("goldens-{id}-{tag}"), &[id], &all);
+    assert!(
+        run.out.status.success(),
+        "{id} under {env:?} failed: {}\n{}",
+        run.out.status,
+        run.stderr()
+    );
+    run
 }
 
-impl Run {
-    /// Runs `hcloud-bench <id>` with `HCLOUD_FAST=1` plus `env`, every
-    /// other `HCLOUD_*` variable cleared, in a fresh directory named after
-    /// `tag`. Panics unless it exits 0.
-    fn fast(id: &str, tag: &str, env: &[(&str, &str)]) -> Run {
-        let dir =
-            std::env::temp_dir().join(format!("hcloud-goldens-{id}-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_hcloud-bench"));
-        cmd.arg(id).current_dir(&dir);
-        for (key, _) in std::env::vars() {
-            if key.starts_with("HCLOUD_") {
-                cmd.env_remove(key);
-            }
-        }
-        cmd.env("HCLOUD_FAST", "1").envs(env.iter().copied());
-        let run = Run {
-            out: cmd.output().expect("hcloud-bench runs"),
-            dir,
-        };
-        assert!(
-            run.out.status.success(),
-            "{id} under {env:?} failed: {}\n{}",
-            run.out.status,
-            String::from_utf8_lossy(&run.out.stderr)
-        );
-        run
-    }
-
-    /// The parsed `results/<stem>.json` of `info`'s first artifact.
-    fn artifact(&self, info: &ExperimentInfo) -> Value {
-        let stem = info
-            .artifacts
-            .first()
-            .unwrap_or_else(|| panic!("{}: a golden entry writes an artifact", info.id));
-        read_json(&self.dir.join("results").join(format!("{stem}.json")))
-    }
-
-    /// Every file with extension `ext` directly under `sub`, by name.
-    fn files(&self, sub: &str, ext: &str) -> BTreeMap<String, Vec<u8>> {
-        let Ok(entries) = std::fs::read_dir(self.dir.join(sub)) else {
-            return BTreeMap::new();
-        };
-        entries
-            .map(|entry| entry.expect("dir entry").path())
-            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some(ext))
-            .map(|path| {
-                let name = path.file_name().expect("file name").to_string_lossy();
-                (name.into_owned(), std::fs::read(&path).expect("readable"))
-            })
-            .collect()
-    }
-}
-
-impl Drop for Run {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+/// The parsed `results/<stem>.json` of `info`'s first artifact.
+fn artifact(run: &Run, info: &ExperimentInfo) -> Value {
+    let stem = info
+        .artifacts
+        .first()
+        .unwrap_or_else(|| panic!("{}: a golden entry writes an artifact", info.id));
+    read_json(&run.dir.join("results").join(format!("{stem}.json")))
 }
 
 fn read_json(path: &Path) -> Value {
@@ -143,13 +104,15 @@ fn holds(got: &Value, want: &Value, path: &str) -> Result<(), String> {
     }
 }
 
-/// The plain run against the golden, then the checked run against the
-/// plain run.
-fn check(info: &ExperimentInfo, golden_path: &str) {
+/// The plain run against the golden, if any, then the checked run
+/// against the plain run, if audited.
+fn check(info: &ExperimentInfo) {
     let id = info.id;
-    let plain = Run::fast(id, "plain", &[("HCLOUD_JOBS", "1")]);
-    if let Err(e) = holds(&plain.artifact(info), &golden(golden_path), "$") {
-        panic!("{id} differs from {golden_path} at {e}");
+    let plain = fast(id, "plain", &[("HCLOUD_JOBS", "1")]);
+    if let Some(golden_path) = info.golden {
+        if let Err(e) = holds(&artifact(&plain, info), &golden(golden_path), "$") {
+            panic!("{id} differs from {golden_path} at {e}");
+        }
     }
     if !info.audit_covered {
         return;
@@ -159,7 +122,7 @@ fn check(info: &ExperimentInfo, golden_path: &str) {
     if info.trace_covered {
         env.push(("HCLOUD_TRACE", "full"));
     }
-    let checked = Run::fast(id, "checked", &env);
+    let checked = fast(id, "checked", &env);
     assert!(
         checked.out.stdout == plain.out.stdout,
         "{id}: stdout under {env:?} differs from the plain run's"
@@ -182,6 +145,11 @@ fn check(info: &ExperimentInfo, golden_path: &str) {
     if info.trace_covered {
         let traces = checked.files("results/traces", "jsonl");
         assert!(!traces.is_empty(), "{id}: no trace under {env:?}");
+        assert_eq!(
+            traces.len(),
+            checked.simulated(id),
+            "{id}: one trace file per simulated run"
+        );
         for (name, bytes) in traces {
             let text = String::from_utf8(bytes).expect("UTF-8 trace");
             if let Err(e) = hcloud_audit::replay_file(&text) {
@@ -193,54 +161,23 @@ fn check(info: &ExperimentInfo, golden_path: &str) {
 
 #[test]
 fn registered_goldens_reproduce_and_audited_runs_keep_their_bytes() {
-    let goldens: Vec<_> = registry::ALL
-        .iter()
-        .filter_map(|info| Some((info, info.golden?)))
-        .collect();
-    assert!(!goldens.is_empty(), "the registry names no golden");
-    for (info, path) in goldens {
-        check(info, path);
+    for info in registry::ALL {
+        assert!(
+            info.audit_covered || !info.trace_covered,
+            "{}: the traced run is the checked run, which needs audit_covered",
+            info.id
+        );
     }
-}
-
-/// `HCLOUD_STRATEGY=RA` narrows `ext_theory_strategies` to RA's rows
-/// without moving any of their digests.
-#[test]
-fn strategy_focus_keeps_the_golden_digests() {
-    let info = registry::find("ext_theory_strategies").expect("registered");
-    let focused = Run::fast(
-        info.id,
-        "focus-ra",
-        &[("HCLOUD_JOBS", "1"), ("HCLOUD_STRATEGY", "RA")],
+    let checked: Vec<_> = registry::ALL
+        .iter()
+        .filter(|info| info.golden.is_some() || info.audit_covered)
+        .collect();
+    assert!(
+        checked.iter().any(|info| info.golden.is_some()),
+        "the registry names no golden"
     );
-    let (focused, full) = (
-        focused.artifact(info),
-        golden(info.golden.expect("has a golden")),
-    );
-    let rows = |v: &Value| {
-        v.get("strategies")
-            .and_then(Value::as_array)
-            .cloned()
-            .expect("strategy rows")
-    };
-    let field = |row: &Value, key: &str| {
-        row.get(key)
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| panic!("row without {key}"))
-            .to_string()
-    };
-    let focused = rows(&focused);
-    assert_eq!(focused.len(), 3, "RA's three variants");
-    for row in &focused {
-        assert_eq!(field(row, "strategy"), "reservation-autoscale");
-        let twin = rows(&full)
-            .into_iter()
-            .find(|r| {
-                field(r, "strategy") == field(row, "strategy")
-                    && field(r, "variant") == field(row, "variant")
-            })
-            .expect("the focused row is in the full grid");
-        assert_eq!(field(row, "digest"), field(&twin, "digest"));
+    for info in checked {
+        check(info);
     }
 }
 

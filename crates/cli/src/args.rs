@@ -17,7 +17,6 @@ commands:
   validate  check a scenario file (exported or long-horizon DSL)
   trace     replay a recorded JSONL trace as a readable timeline
   audit     replay recorded traces through the conservation auditor
-  faults    list the built-in fault-injection plans (HCLOUD_FAULTS)
 
 common options:
   --scenario static|low|high   scenario kind          [high]
@@ -89,8 +88,6 @@ pub enum Command {
     Trace(TraceOptions),
     /// `audit`: replay recorded traces through the conservation auditor.
     Audit(AuditOptions),
-    /// `faults`: list the built-in fault-injection plans.
-    Faults,
 }
 
 /// Options for `audit`.
@@ -347,7 +344,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }))
         }
         "audit" => Ok(Command::Audit(audit)),
-        "faults" => Ok(Command::Faults),
         "help" | "--help" | "-h" => Err("help requested".into()),
         other => Err(format!("unknown command '{other}'")),
     }
@@ -477,11 +473,6 @@ mod tests {
         let c = parse(&v(&["validate", "--file", "scenario.json"])).unwrap();
         assert_eq!(c, Command::Validate("scenario.json".into()));
         assert!(parse(&v(&["validate"])).is_err(), "validate needs --file");
-    }
-
-    #[test]
-    fn parses_faults() {
-        assert_eq!(parse(&v(&["faults"])).unwrap(), Command::Faults);
     }
 
     #[test]

@@ -8,9 +8,9 @@ use hcloud::{
     runner::{run_scenario, RunCtx},
     RunConfig, RunResult, StrategyRegistry,
 };
-use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
+use hcloud_bench::tenancy::{slo_attainment, zipf_plan, SLO_THRESHOLD};
+use hcloud_bench::{ExperimentCtx, ExperimentPlan, Harness, RunSpec};
 use hcloud_cloud::{ExternalLoadModel, SpinUpModel};
-use hcloud_faults::FaultPlanId;
 use hcloud_interference::ResourceVector;
 use hcloud_json::{ObjectBuilder, Value};
 use hcloud_pricing::{PricingModel, Rates};
@@ -488,10 +488,6 @@ pub fn run(command: Command) -> Result<(), String> {
         Command::Validate(file) => validate_file(&file),
         Command::Trace(options) => trace(&options),
         Command::Audit(options) => audit(&options),
-        Command::Faults => {
-            faults();
-            Ok(())
-        }
         Command::Tenants(common, options) => tenants(&common, &options),
         Command::Advise(common, options) => {
             let scenario = build_scenario(&common);
@@ -567,79 +563,6 @@ fn audit(options: &crate::args::AuditOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Lists the built-in fault-injection plans (`HCLOUD_FAULTS` values)
-/// with the fault classes each one enables.
-fn faults() {
-    println!("built-in fault plans (set HCLOUD_FAULTS=<name>):\n");
-    for id in FaultPlanId::ALL {
-        println!("  {:<16} {}", id.name(), id.description());
-        let plan = id.plan();
-        if plan.is_off() {
-            continue;
-        }
-        if let Some(s) = plan.storms {
-            println!(
-                "    - preemption storms: ~every {:.0} min, {:.0} min long",
-                s.mean_interval.as_secs_f64() / 60.0,
-                s.duration.as_secs_f64() / 60.0
-            );
-        }
-        if let Some(s) = plan.spin_up {
-            println!(
-                "    - spin-up faults: {:.0}% spikes (x{:.0}), {:.0}% timeouts ({:.0} s)",
-                s.spike_prob * 100.0,
-                s.spike_factor,
-                s.timeout_prob * 100.0,
-                s.timeout.as_secs_f64()
-            );
-        }
-        if let Some(s) = plan.capacity {
-            println!(
-                "    - out-of-capacity errors: {:.0}% of acquisitions",
-                s.error_prob * 100.0
-            );
-        }
-        if let Some(s) = plan.degradation {
-            println!(
-                "    - stragglers: {:.0}% of instances degrade to {:.1}x slowdown",
-                s.prob * 100.0,
-                s.slowdown
-            );
-        }
-        if let Some(s) = plan.monitor {
-            println!(
-                "    - monitor dropouts: ~every {:.0} min, {:.0} min long",
-                s.mean_interval.as_secs_f64() / 60.0,
-                s.duration.as_secs_f64() / 60.0
-            );
-        }
-    }
-    println!("\nplans are deterministic: every schedule derives from the master");
-    println!("seed via its own RNG stream, so HCLOUD_FAULTS=off is byte-identical");
-    println!("to earlier builds and faulted runs reproduce for any HCLOUD_JOBS.");
-}
-
-/// Jobs at or above this normalized performance kept their SLO (the
-/// paper's "acceptable" band, shared with `ext_multi_tenant`).
-const SLO_THRESHOLD: f64 = 0.7;
-
-/// Sizes a shared tenant pool to the scenario's mean concurrent core
-/// demand, never below the widest job.
-fn tenant_pool_cores(scenario: &Scenario) -> u32 {
-    let total: f64 = scenario
-        .jobs()
-        .iter()
-        .map(|j| match j.kind {
-            JobKind::Batch { work_core_secs } => work_core_secs,
-            JobKind::LatencyCritical { lifetime, .. } => j.cores as f64 * lifetime.as_secs_f64(),
-        })
-        .sum();
-    let window = scenario.config().duration.as_secs_f64().max(1.0);
-    let avg = (total / window).ceil() as u32;
-    let widest = scenario.jobs().iter().map(|j| j.cores).max().unwrap_or(1);
-    avg.max(widest).max(8)
-}
-
 /// `tenants`: runs a multi-tenant scenario and renders the fair-share
 /// report — per-tenant admissions, SLO attainment, waits and
 /// starvation-relief activity. Scenario files with an embedded tenancy
@@ -654,10 +577,11 @@ fn tenants(common: &Common, options: &TenantsOptions) -> Result<(), String> {
     let scenario = if scenario.tenancy().is_some() {
         scenario
     } else {
-        let pool = tenant_pool_cores(&scenario);
-        let mut plan = TenancyPlan::zipf(options.tenants, 1.1, pool, 0.5);
-        let ids: Vec<u64> = scenario.jobs().iter().map(|j| j.id.0).collect();
-        plan.assign_jobs(&ids, &mut factory.stream("tenant-assign"));
+        let plan = zipf_plan(
+            &scenario,
+            options.tenants,
+            &mut factory.stream("tenant-assign"),
+        );
         scenario.with_tenancy(plan)
     };
     let plan = scenario.tenancy().expect("tenancy attached").clone();
@@ -667,9 +591,7 @@ fn tenants(common: &Common, options: &TenantsOptions) -> Result<(), String> {
     let r = run_scenario(&scenario, &config, &RunCtx::new(&factory)).expect("no auditor attached");
     let rates = Rates::default();
     let cost = r.cost(&rates, &PricingModel::aws());
-    let perfs = r.normalized_perf(None);
-    let slo =
-        perfs.iter().filter(|&&p| p >= SLO_THRESHOLD).count() as f64 / perfs.len().max(1) as f64;
+    let slo = slo_attainment(&r);
     println!(
         "{} on {}: {} tenants over a {}-core pool, seed {}\n",
         options.strategy.clone(),
@@ -747,6 +669,8 @@ fn tenants(common: &Common, options: &TenantsOptions) -> Result<(), String> {
 }
 
 fn compare(common: &Common) -> Result<(), String> {
+    let mut ctx = ExperimentCtx::from_env()?;
+    ctx.master_seed = common.seed;
     let scenario = Arc::new(build_scenario(common));
     let rates = Rates::default();
     let model = PricingModel::aws();
@@ -760,16 +684,13 @@ fn compare(common: &Common) -> Result<(), String> {
         "{:<6} {:>8} {:>12} {:>14} {:>10} {:>10}",
         "strat", "perf %", "degradation", "lc p99 (µs)", "od acq", "cost $"
     );
-    // All five strategies fan out across the engine's worker pool.
-    let mut ctx = ExperimentCtx::from_env()?;
-    ctx.master_seed = common.seed;
-    let engine = Engine::new(ctx);
+    // All five strategies fan out across the harness's worker pool.
     let plan: ExperimentPlan = StrategyRegistry::paper()
         .iter()
         .map(|s| RunSpec::on(Arc::clone(&scenario), s))
         .collect();
-    let outcome = engine.run_plan(&plan);
-    for (strategy, r) in StrategyRegistry::paper().iter().zip(&outcome.results) {
+    let results = Harness::with_ctx(ctx).run_plan(plan);
+    for (strategy, r) in StrategyRegistry::paper().iter().zip(&results) {
         let lc = r.lc_latency_boxplot().map(|b| b.mean).unwrap_or(f64::NAN);
         println!(
             "{:<6} {:>8.1} {:>11.2}x {:>14.0} {:>10} {:>10.2}",

@@ -10,7 +10,8 @@
 //! hcloud-cli run      --scenario-file scenario.json --strategy HF
 //! hcloud-cli validate --file scenario.json
 //! hcloud-cli advise   --scenario high --weeks 30 --perf-floor 0.9
-//! hcloud-cli trace    --file results/traces/HighVariability-HM-seed42.jsonl [--limit 50]
+//! hcloud-cli trace    --file results/traces/replication-004-HighVariability-HM-seed42.jsonl
+//!                     [--limit 50]
 //! ```
 //!
 //! Everything is deterministic in `--seed` (default 42). The default

@@ -14,9 +14,9 @@
 //!   timeouts, transient out-of-capacity errors on acquisition, instance
 //!   performance degradation (straggler onset), and QoS-monitor signal
 //!   dropouts. A plan with no schedules is "off" and injects nothing.
-//! * [`FaultPlanId`] — the built-in named plans selectable through the
-//!   `HCLOUD_FAULTS=off|<plan-name>` environment variable (malformed
-//!   values are a hard error, like `HCLOUD_SEED`/`HCLOUD_TRACE`).
+//! * [`FaultPlanId`] — the built-in named plans. A run carries its plan in
+//!   its own configuration (`RunConfig::with_faults`), so a plan is part
+//!   of what the run is, never an ambient overlay.
 //! * [`FaultInjector`] — the per-run sampling engine. Every fault class
 //!   draws from its own named [`rng::RngFactory`] stream (all under the
 //!   `faults` child factory), so

@@ -4,10 +4,10 @@ use std::fmt;
 
 use hcloud_sim::SimDuration;
 
-/// Identifier for a built-in fault plan, selectable via `HCLOUD_FAULTS`.
+/// Identifier for a built-in fault plan.
 ///
-/// This is a `Copy` handle (suitable for experiment contexts that must stay
-/// `Copy`); call [`FaultPlanId::plan`] to materialize the full schedule.
+/// This is a `Copy` handle; call [`FaultPlanId::plan`] to materialize the
+/// full schedule, and pin it on a run with `RunConfig::with_faults`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPlanId {
     /// No fault injection (the default).
@@ -37,7 +37,7 @@ impl FaultPlanId {
         FaultPlanId::FullChaos,
     ];
 
-    /// The wire/env name of the plan.
+    /// The plan's name (also the materialized plan's `name`).
     pub fn name(self) -> &'static str {
         match self {
             FaultPlanId::Off => "off",
@@ -47,47 +47,6 @@ impl FaultPlanId {
             FaultPlanId::MonitorBlackout => "monitor-blackout",
             FaultPlanId::FullChaos => "full-chaos",
         }
-    }
-
-    /// One-line description for `hcloud-cli faults`.
-    pub fn description(self) -> &'static str {
-        match self {
-            FaultPlanId::Off => "no fault injection (default)",
-            FaultPlanId::PreemptionStorms => {
-                "correlated spot-preemption storms that evict every spot instance"
-            }
-            FaultPlanId::FlakySpinups => {
-                "spin-up latency spikes, hard spin-up timeouts, transient out-of-capacity errors"
-            }
-            FaultPlanId::DegradedFleet => {
-                "straggler onset: some instances silently degrade after a while"
-            }
-            FaultPlanId::MonitorBlackout => {
-                "QoS-monitor signal dropouts that stale the quality distributions"
-            }
-            FaultPlanId::FullChaos => "every fault class at moderate intensity",
-        }
-    }
-
-    /// Parses an `HCLOUD_FAULTS` value. `None` (unset) means off; any
-    /// value that is not a built-in plan name is a hard error — a typoed
-    /// fault plan silently running fault-free would invalidate a whole
-    /// resilience study.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        let Some(value) = value else {
-            return Ok(FaultPlanId::Off);
-        };
-        FaultPlanId::ALL
-            .iter()
-            .copied()
-            .find(|id| id.name() == value)
-            .ok_or_else(|| {
-                let names: Vec<&str> = FaultPlanId::ALL.iter().map(|id| id.name()).collect();
-                format!(
-                    "invalid HCLOUD_FAULTS {value:?}: expected one of {}",
-                    names.join(", ")
-                )
-            })
     }
 
     /// Materializes the full fault schedule for this plan.
@@ -299,25 +258,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unset_env_means_off() {
-        assert_eq!(FaultPlanId::parse(None), Ok(FaultPlanId::Off));
-    }
-
-    #[test]
     fn every_builtin_name_round_trips() {
-        for id in FaultPlanId::ALL {
-            assert_eq!(FaultPlanId::parse(Some(id.name())), Ok(id));
+        for (i, id) in FaultPlanId::ALL.into_iter().enumerate() {
             assert_eq!(format!("{id}"), id.name());
+            assert_eq!(id.plan().name, id.name());
+            assert!(
+                FaultPlanId::ALL[..i]
+                    .iter()
+                    .all(|other| other.name() != id.name()),
+                "{id} named twice"
+            );
         }
-    }
-
-    #[test]
-    fn malformed_values_are_hard_errors() {
-        let err = FaultPlanId::parse(Some("chaos")).unwrap_err();
-        assert!(err.contains("invalid HCLOUD_FAULTS"), "{err}");
-        assert!(err.contains("full-chaos"), "error lists valid names: {err}");
-        assert!(FaultPlanId::parse(Some("")).is_err());
-        assert!(FaultPlanId::parse(Some("OFF")).is_err(), "case-sensitive");
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl TraceMode {
         }
     }
 
-    /// Read `HCLOUD_TRACE` from the environment.
-    pub fn from_env() -> Result<TraceMode, String> {
-        TraceMode::parse(std::env::var("HCLOUD_TRACE").ok().as_deref())
-    }
-
     /// True when per-event recording (the flight recorder) is on.
     pub fn records_events(self) -> bool {
         self == TraceMode::Full

@@ -4,8 +4,8 @@
 //! header object carrying the run's identity (label, scenario, strategy,
 //! seed, schema version); every following line is one [`TraceEvent`].
 //! Nothing in a file depends on wall clock, worker count, or machine, so
-//! the same run always produces the same bytes — the CI smoke job diffs
-//! whole trace directories across `HCLOUD_JOBS` settings.
+//! the same run always produces the same bytes, under the same file name
+//! for any `HCLOUD_JOBS` setting.
 
 use std::fs;
 use std::io;
@@ -86,16 +86,18 @@ impl FlightRecorder {
         &self.dir
     }
 
-    /// The file a run records into: `<dir>/<sanitized label>.jsonl`.
-    pub fn path_for(&self, meta: &RunMeta) -> PathBuf {
-        self.dir
-            .join(format!("{}.jsonl", sanitize_label(&meta.label)))
+    /// The file a run named `name` records into:
+    /// `<dir>/<sanitized name>.jsonl`. The caller picks a name unique to
+    /// the run, so no two runs share a file.
+    pub fn path_for(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{}.jsonl", sanitize_label(name)))
     }
 
-    /// Serialize and write one run's trace; returns the file written.
-    pub fn write(&self, meta: &RunMeta, events: &[TraceEvent]) -> io::Result<PathBuf> {
+    /// Serialize and write one run's trace into the file named `name`;
+    /// returns the file written.
+    pub fn write(&self, name: &str, meta: &RunMeta, events: &[TraceEvent]) -> io::Result<PathBuf> {
         fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(meta);
+        let path = self.path_for(name);
         fs::write(&path, render_jsonl(meta, events))?;
         Ok(path)
     }

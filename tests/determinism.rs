@@ -135,8 +135,8 @@ fn identical_fault_plans_reproduce_runs_bit_for_bit() {
 
 #[test]
 fn off_fault_plan_matches_no_fault_plan() {
-    // `HCLOUD_FAULTS=off` must be byte-identical to a build that never
-    // heard of fault injection: the off plan consumes no randomness.
+    // A run pinned to the off plan must be byte-identical to one that
+    // never heard of fault injection: the off plan consumes no randomness.
     let s = scenario(1);
     let plain = run_scenario(
         &s,
@@ -158,24 +158,23 @@ fn faulted_engine_results_are_identical_for_any_worker_count() {
     // The full-chaos plan under 1 and 4 workers: injected faults are
     // drawn per-run from the run's own seed, so fan-out cannot reorder
     // them.
-    use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
+    use hcloud_bench::{ExperimentCtx, ExperimentPlan, Harness, RunSpec};
     use hcloud_faults::FaultPlanId;
 
     let plan = || -> ExperimentPlan {
         StrategyRegistry::paper()
             .iter()
             .map(|s| {
-                RunSpec::of(ScenarioKind::HighVariability, s)
-                    .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default()))
+                RunSpec::of(ScenarioKind::HighVariability, s).map_config(|c| {
+                    c.with_spot(hcloud::config::SpotPolicy::default())
+                        .with_faults(FaultPlanId::FullChaos.plan())
+                })
             })
             .collect()
     };
     let run_with = |jobs: usize| {
-        let ctx = ExperimentCtx::new(11)
-            .with_fast(true)
-            .with_jobs(jobs)
-            .with_faults(FaultPlanId::FullChaos);
-        Engine::new(ctx).run_plan(&plan()).results
+        let ctx = ExperimentCtx::new(11).with_fast(true).with_jobs(jobs);
+        Harness::with_ctx(ctx).run_plan(plan())
     };
 
     let sequential = run_with(1);
@@ -192,10 +191,10 @@ fn faulted_engine_results_are_identical_for_any_worker_count() {
 
 #[test]
 fn engine_results_are_identical_for_any_worker_count() {
-    // The acceptance bar for the parallel experiment engine: the same
-    // plan, run with 1 worker and with 4, produces bit-identical results
-    // for every strategy (HCLOUD_JOBS must never change the science).
-    use hcloud_bench::{Engine, ExperimentCtx, ExperimentPlan, RunSpec};
+    // The acceptance bar for the harness's worker pool: the same plan,
+    // run with 1 worker and with 4, produces bit-identical results for
+    // every strategy (HCLOUD_JOBS must never change the science).
+    use hcloud_bench::{ExperimentCtx, ExperimentPlan, Harness, RunSpec};
 
     let plan = || -> ExperimentPlan {
         StrategyRegistry::paper()
@@ -205,7 +204,7 @@ fn engine_results_are_identical_for_any_worker_count() {
     };
     let run_with = |jobs: usize| {
         let ctx = ExperimentCtx::new(11).with_fast(true).with_jobs(jobs);
-        Engine::new(ctx).run_plan(&plan()).results
+        Harness::with_ctx(ctx).run_plan(plan())
     };
 
     let sequential = run_with(1);

@@ -1,9 +1,9 @@
 //! Integration tests for the structured telemetry layer: trace content
-//! and bit-identical traces across engine worker counts.
+//! and bit-identical traces across harness worker counts.
 
 use hcloud::StrategyId;
-use hcloud_bench::engine::{Engine, ExperimentPlan, RunSpec};
-use hcloud_bench::ExperimentCtx;
+use hcloud_bench::{ExperimentCtx, ExperimentPlan, Harness, RunSpec, RunTrace};
+use hcloud_faults::FaultPlanId;
 use hcloud_telemetry::{render_jsonl, TraceKind, TraceMode};
 use hcloud_workloads::ScenarioKind;
 
@@ -16,26 +16,43 @@ fn traced_plan() -> ExperimentPlan {
     plan
 }
 
-fn rendered_traces(jobs: usize) -> Vec<String> {
+/// Runs `plan` FAST under `ctx` and returns one trace per spec.
+fn traces(ctx: ExperimentCtx, plan: ExperimentPlan) -> Vec<RunTrace> {
+    let specs = plan.len();
+    let mut h = Harness::with_ctx(ctx.with_fast(true));
+    h.run_plan(plan);
+    let traces = h.take_traces();
+    if ctx.trace == TraceMode::Full {
+        assert_eq!(traces.len(), specs, "full mode traces every run");
+    }
+    traces
+}
+
+/// `plan`'s traces under `jobs` workers, rendered as JSONL.
+fn rendered(jobs: usize, plan: ExperimentPlan) -> Vec<String> {
     let ctx = ExperimentCtx::new(42)
-        .with_fast(true)
         .with_jobs(jobs)
         .with_trace(TraceMode::Full);
-    let outcome = Engine::new(ctx).run_plan(&traced_plan());
-    outcome
-        .traces
+    traces(ctx, plan)
         .iter()
-        .map(|t| {
-            let t = t.as_ref().expect("full mode traces every run");
-            render_jsonl(&t.meta, &t.events)
-        })
+        .map(|t| render_jsonl(&t.meta, &t.events))
         .collect()
+}
+
+/// A full-chaos hybrid run with spot on, seeded `seed`.
+fn chaos_spec(seed: u64) -> RunSpec {
+    RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
+        .seed(seed)
+        .map_config(|c| {
+            c.with_spot(hcloud::config::SpotPolicy::default())
+                .with_faults(FaultPlanId::FullChaos.plan())
+        })
 }
 
 #[test]
 fn traces_are_bit_identical_across_worker_counts() {
-    let sequential = rendered_traces(1);
-    let parallel = rendered_traces(4);
+    let sequential = rendered(1, traced_plan());
+    let parallel = rendered(4, traced_plan());
     assert_eq!(sequential.len(), parallel.len());
     for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
         assert_eq!(a, b, "trace {i} differs between 1 and 4 workers");
@@ -45,13 +62,13 @@ fn traces_are_bit_identical_across_worker_counts() {
 #[test]
 fn hybrid_trace_covers_the_event_taxonomy() {
     let ctx = ExperimentCtx::new(42)
-        .with_fast(true)
         .with_jobs(1)
         .with_trace(TraceMode::Full);
-    let mut plan = ExperimentPlan::new();
-    plan.push(RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM));
-    let outcome = Engine::new(ctx).run_plan(&plan);
-    let trace = outcome.traces[0].as_ref().expect("traced run");
+    let plan = ExperimentPlan::from(vec![RunSpec::of(
+        ScenarioKind::HighVariability,
+        StrategyId::HM,
+    )]);
+    let trace = &traces(ctx, plan)[0];
 
     let has = |pred: &dyn Fn(&TraceKind) -> bool| trace.events.iter().any(|e| pred(&e.kind));
     assert!(
@@ -93,33 +110,9 @@ fn hybrid_trace_covers_the_event_taxonomy() {
 fn faulted_traces_are_bit_identical_across_worker_counts() {
     // The acceptance bar for the fault subsystem: a full fault plan
     // traced under 1 and 4 workers renders byte-identical JSONL.
-    use hcloud_faults::FaultPlanId;
-    let faulted = |jobs: usize| -> Vec<String> {
-        let ctx = ExperimentCtx::new(42)
-            .with_fast(true)
-            .with_jobs(jobs)
-            .with_trace(TraceMode::Full)
-            .with_faults(FaultPlanId::FullChaos);
-        let mut plan = ExperimentPlan::new();
-        for seed in [1u64, 2, 3] {
-            plan.push(
-                RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
-                    .seed(seed)
-                    .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default())),
-            );
-        }
-        let outcome = Engine::new(ctx).run_plan(&plan);
-        outcome
-            .traces
-            .iter()
-            .map(|t| {
-                let t = t.as_ref().expect("full mode traces every run");
-                render_jsonl(&t.meta, &t.events)
-            })
-            .collect()
-    };
-    let sequential = faulted(1);
-    let parallel = faulted(4);
+    let plan = || (1..=3).map(chaos_spec).collect::<ExperimentPlan>();
+    let sequential = rendered(1, plan());
+    let parallel = rendered(4, plan());
     assert_eq!(sequential, parallel, "faulted traces differ across workers");
     // The plan actually injected something observable.
     assert!(
@@ -131,21 +124,13 @@ fn faulted_traces_are_bit_identical_across_worker_counts() {
 #[test]
 fn fault_events_carry_the_new_taxonomy() {
     // A hot fault plan must surface injection *and* recovery records,
-    // and every record must serialize with kind + sim time like the
-    // rest of the taxonomy.
-    use hcloud_faults::FaultPlanId;
+    // retries among them, and every record must serialize with kind +
+    // sim time like the rest of the taxonomy.
     let ctx = ExperimentCtx::new(42)
-        .with_fast(true)
         .with_jobs(1)
-        .with_trace(TraceMode::Full)
-        .with_faults(FaultPlanId::FullChaos);
-    let mut plan = ExperimentPlan::new();
-    plan.push(
-        RunSpec::of(ScenarioKind::HighVariability, StrategyId::HM)
-            .map_config(|c| c.with_spot(hcloud::config::SpotPolicy::default())),
-    );
-    let outcome = Engine::new(ctx).run_plan(&plan);
-    let trace = outcome.traces[0].as_ref().expect("traced run");
+        .with_trace(TraceMode::Full);
+    let spec = chaos_spec(42);
+    let trace = &traces(ctx, ExperimentPlan::from(vec![spec]))[0];
 
     let fault_names: Vec<&str> = trace
         .events
@@ -154,8 +139,12 @@ fn fault_events_carry_the_new_taxonomy() {
         .filter(|n| n.starts_with("fault-") || n.starts_with("recovery-"))
         .collect();
     assert!(
-        !fault_names.is_empty(),
-        "full-chaos hybrid run recorded no fault/recovery events"
+        fault_names.iter().any(|n| n.starts_with("fault-")),
+        "full-chaos hybrid run recorded no fault events"
+    );
+    assert!(
+        fault_names.contains(&"recovery-retry"),
+        "full-chaos hybrid run recorded no acquisition retry: {fault_names:?}"
     );
     for ev in &trace.events {
         let json = ev.to_json();
@@ -166,8 +155,7 @@ fn fault_events_carry_the_new_taxonomy() {
 
 #[test]
 fn off_mode_records_nothing() {
-    let ctx = ExperimentCtx::new(42).with_fast(true).with_jobs(2);
+    let ctx = ExperimentCtx::new(42).with_jobs(2);
     assert_eq!(ctx.trace, TraceMode::Off);
-    let outcome = Engine::new(ctx).run_plan(&traced_plan());
-    assert!(outcome.traces.iter().all(Option::is_none));
+    assert!(traces(ctx, traced_plan()).is_empty());
 }
