@@ -335,9 +335,12 @@ impl Harness {
 
     /// Writes the traces recorded since the last flush to the flight
     /// recorder, one file per run: `<name>-<sequence>-<label>.jsonl`,
-    /// where the sequence is the run's submission order within the
-    /// experiment, so names are unique and the same for any worker count.
-    fn flush_traces(&mut self, name: &str) {
+    /// where the sequence is the run's submission order since the last
+    /// flush, so names are unique and the same for any worker count.
+    /// [`Harness::run_experiment`] flushes under the experiment's id; a
+    /// caller that submits plans directly flushes under a name of its own.
+    /// A failed write is reported through [`artifacts::artifact_failure`].
+    pub fn flush_traces(&mut self, name: &str) {
         let traces = self.take_traces();
         if traces.is_empty() {
             return;

@@ -669,7 +669,7 @@ fn tenants(common: &Common, options: &TenantsOptions) -> Result<(), String> {
 }
 
 fn compare(common: &Common) -> Result<(), String> {
-    let mut ctx = ExperimentCtx::from_env()?;
+    let mut ctx = ExperimentCtx::from_env_or_exit();
     ctx.master_seed = common.seed;
     let scenario = Arc::new(build_scenario(common));
     let rates = Rates::default();
@@ -689,7 +689,10 @@ fn compare(common: &Common) -> Result<(), String> {
         .iter()
         .map(|s| RunSpec::on(Arc::clone(&scenario), s))
         .collect();
-    let results = Harness::with_ctx(ctx).run_plan(plan);
+    let mut harness = Harness::with_ctx(ctx);
+    let results = harness.run_plan(plan);
+    // Under `HCLOUD_TRACE=full`: one trace file per run.
+    harness.flush_traces("compare");
     for (strategy, r) in StrategyRegistry::paper().iter().zip(&results) {
         let lc = r.lc_latency_boxplot().map(|b| b.mean).unwrap_or(f64::NAN);
         println!(
@@ -701,6 +704,9 @@ fn compare(common: &Common) -> Result<(), String> {
             r.counters.od_acquired,
             r.cost(&rates, &model).total()
         );
+    }
+    if hcloud_bench::artifacts::any_failure() {
+        return Err("a trace file could not be written".to_string());
     }
     Ok(())
 }

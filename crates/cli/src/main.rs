@@ -17,6 +17,10 @@
 //! Everything is deterministic in `--seed` (default 42). The default
 //! `--scale 0.25 --minutes 40` keeps runs under a second; pass
 //! `--scale 1 --minutes 120` for paper-scale experiments.
+//!
+//! Malformed input exits 2: a scenario file under `validate`, or an
+//! `HCLOUD_*` variable under `compare` (as in `hcloud-bench`). Other
+//! failures exit 1.
 
 mod advise;
 mod args;

@@ -186,3 +186,89 @@ fn validate_exits_0_on_a_scenario_and_2_naming_a_malformed_field() {
     assert!(err.contains("load_scale"), "names the field: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn compare_exits_2_naming_an_unknown_environment_variable() {
+    let out = cli()
+        .args(["compare", "--scale", "0.05", "--minutes", "10"])
+        .env("HCLOUD_FAULTS", "full-chaos")
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "environment error exits 2: {err}"
+    );
+    assert!(err.contains("HCLOUD_FAULTS"), "names the variable: {err}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+}
+
+#[test]
+fn compare_writes_one_replayable_trace_per_run() {
+    let dir = std::env::temp_dir().join(format!("hcloud_cli_traces_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = cli()
+        .args(["compare", "--scale", "0.05", "--minutes", "10"])
+        .env("HCLOUD_TRACE", "full")
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("results/traces"))
+        .expect("traces written")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 5, "one trace per strategy: {names:?}");
+    for (seq, name) in names.iter().enumerate() {
+        assert!(
+            name.starts_with(&format!("compare-{seq:03}-")) && name.ends_with(".jsonl"),
+            "{name}"
+        );
+        let text = std::fs::read_to_string(dir.join("results/traces").join(name)).expect("read");
+        if let Err(e) = hcloud_audit::replay_file(&text) {
+            panic!("{name} does not replay clean: {e}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compare_prints_its_table_and_exits_1_when_a_trace_cannot_be_written() {
+    let dir = std::env::temp_dir().join(format!("hcloud_cli_no_traces_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // A file where the trace directory would go.
+    std::fs::write(dir.join("results"), "").expect("blocker file");
+    let out = cli()
+        .args(["compare", "--scale", "0.05", "--minutes", "10"])
+        .env("HCLOUD_TRACE", "full")
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("cannot write"),
+        "names the failed write: {err}"
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        table.lines().filter(|l| l.starts_with("HM ")).count(),
+        1,
+        "{table}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -106,6 +106,19 @@ impl InstanceType {
         InstanceType::new(Family::MemoryOptimized, SERVER_VCPUS)
     }
 
+    /// Number of distinct instance types: every family × size, micro or
+    /// not. [`InstanceType::index`] ranges over `0..COUNT`.
+    pub const COUNT: usize = Family::ALL.len() * VALID_SIZES.len() * 2;
+
+    /// A dense index in `0..COUNT`, distinct per type: family × size ×
+    /// micro. Lets per-type tables be arrays instead of hash maps.
+    pub fn index(self) -> usize {
+        // Sizes are the powers of two 1..=16: the exponent is the size's
+        // position in `VALID_SIZES`.
+        let size = self.vcpus.trailing_zeros() as usize;
+        (self.family as usize * VALID_SIZES.len() + size) * 2 + usize::from(self.micro)
+    }
+
     /// The family.
     pub fn family(self) -> Family {
         self.family
@@ -185,6 +198,29 @@ mod tests {
             InstanceType::new(Family::ComputeOptimized, 4).to_string(),
             "c4"
         );
+    }
+
+    #[test]
+    fn index_is_dense_and_distinct() {
+        let mut seen = [false; InstanceType::COUNT];
+        let mut types: Vec<InstanceType> = Family::ALL
+            .iter()
+            .flat_map(|&f| VALID_SIZES.iter().map(move |&s| InstanceType::new(f, s)))
+            .collect();
+        types.extend(
+            types
+                .clone()
+                .into_iter()
+                .map(|t| InstanceType { micro: true, ..t }),
+        );
+        assert_eq!(types.len(), InstanceType::COUNT);
+        for t in types {
+            assert!(
+                !std::mem::replace(&mut seen[t.index()], true),
+                "{t:?} collides"
+            );
+        }
+        assert!(seen[InstanceType::MICRO.index()]);
     }
 
     #[test]

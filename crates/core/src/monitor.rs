@@ -16,8 +16,6 @@
 //! percentile of degradation), which matches the paper's intent: tighten
 //! the constraint and more jobs stay on reserved.
 
-use std::collections::HashMap;
-
 use hcloud_cloud::InstanceType;
 use hcloud_sim::stats::RollingQuantiles;
 
@@ -27,11 +25,12 @@ use hcloud_sim::stats::RollingQuantiles;
 /// copy of its samples: `record` is one ordered insert and eviction, and
 /// `q90` reads the exact 10th percentile from that copy instead of
 /// cloning + sorting the window on every query (the scheduler asks per
-/// placement decision).
+/// placement decision). The windows sit in a table indexed by
+/// [`InstanceType::index`], created on a type's first sample.
 #[derive(Debug, Clone)]
 pub struct QualityMonitor {
     window: usize,
-    samples: HashMap<InstanceType, RollingQuantiles>,
+    samples: [Option<RollingQuantiles>; InstanceType::COUNT],
 }
 
 impl Default for QualityMonitor {
@@ -49,7 +48,7 @@ impl QualityMonitor {
         assert!(window > 0, "monitor window must be positive");
         QualityMonitor {
             window,
-            samples: HashMap::new(),
+            samples: std::array::from_fn(|_| None),
         }
     }
 
@@ -57,15 +56,16 @@ impl QualityMonitor {
     pub fn record(&mut self, itype: InstanceType, q: f64) {
         debug_assert!((0.0..=1.0).contains(&q), "quality {q} out of range");
         let window = self.window;
-        self.samples
-            .entry(itype)
-            .or_insert_with(|| RollingQuantiles::new(window))
+        self.samples[itype.index()]
+            .get_or_insert_with(|| RollingQuantiles::new(window))
             .push(q);
     }
 
     /// Number of samples held for `itype`.
     pub fn sample_count(&self, itype: InstanceType) -> usize {
-        self.samples.get(&itype).map_or(0, RollingQuantiles::len)
+        self.samples[itype.index()]
+            .as_ref()
+            .map_or(0, RollingQuantiles::len)
     }
 
     /// The quality level `itype` delivers at least 90% of the time
@@ -74,7 +74,7 @@ impl QualityMonitor {
     /// With fewer than 10 observations, returns a prior based on how much
     /// of the server the instance shares with external tenants.
     pub fn q90(&self, itype: InstanceType) -> f64 {
-        match self.samples.get(&itype) {
+        match &self.samples[itype.index()] {
             // 10th percentile of delivered quality =
             // guaranteed-90%-of-the-time level. An empty window (only
             // reachable if the ≥10 guard changes) degrades to the prior

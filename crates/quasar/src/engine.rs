@@ -17,6 +17,9 @@
 //!    reconstructs the full sensitivity vector, the scalar quality
 //!    requirement `Q`, and the resource amount (core count) the job needs.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use hcloud_cloud::instance_type::VALID_SIZES;
 use hcloud_interference::{resource_quality, Resource, ResourceVector, NUM_RESOURCES};
 use hcloud_sim::dist::{Normal, Sample};
@@ -24,7 +27,7 @@ use hcloud_sim::rng::{RngFactory, SimRng};
 use hcloud_sim::SimDuration;
 use hcloud_workloads::{AppClass, JobSpec};
 
-use crate::matrix::{Matrix, MatrixFactorization};
+use crate::matrix::{FoldIn, Matrix, MatrixFactorization};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +101,9 @@ impl ProfilingEnvironment {
 /// The sparse signal profiling produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSignal {
-    /// `(resource index, measured sensitivity)` pairs.
-    pub observations: Vec<(usize, f64)>,
+    /// The measured sensitivity to each of
+    /// [`QuasarConfig::profiled_resources`], in order.
+    pub measurements: [f64; 4],
     /// Noisy observation of the job's parallelism/size needs.
     pub cores_hint: u32,
 }
@@ -116,18 +120,33 @@ pub struct JobEstimate {
     pub cores: u32,
 }
 
-/// The profiling + classification engine.
-#[derive(Debug, Clone)]
-pub struct QuasarEngine {
-    config: QuasarConfig,
+/// What training produces for one corpus: the factorization and its
+/// fold-in against the profiled resources, eliminated once.
+#[derive(Debug)]
+struct Trained {
     factorization: MatrixFactorization,
-    profile_rng: SimRng,
+    fold_in: FoldIn,
 }
 
-impl QuasarEngine {
-    /// Builds the corpus, trains the factorization, and returns a ready
-    /// engine. Deterministic in `factory`.
-    pub fn new(config: QuasarConfig, factory: &RngFactory) -> QuasarEngine {
+/// Every input of [`Trained::new`]: the factory's seed and each
+/// [`QuasarConfig`] field that training or fold-in reads, floats by bit
+/// pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CorpusKey {
+    seed: u64,
+    corpus_size: usize,
+    rank: usize,
+    epochs: usize,
+    learning_rate: u64,
+    regularization: u64,
+    ridge: u64,
+    profiled_resources: [Resource; 4],
+}
+
+impl Trained {
+    /// Builds the corpus and trains its factorization. A pure function of
+    /// the [`CorpusKey`] of `config` and `factory`.
+    fn new(config: &QuasarConfig, factory: &RngFactory) -> Trained {
         assert!(config.corpus_size >= NUM_RESOURCES, "corpus too small");
         let mut corpus_rng = factory.stream("quasar.corpus");
         let mut r = Matrix::zeros(config.corpus_size, NUM_RESOURCES);
@@ -147,9 +166,68 @@ impl QuasarEngine {
             config.regularization,
             &mut train_rng,
         );
+        let fold_in = factorization.fold_in_at(
+            &config.profiled_resources.map(Resource::index),
+            config.ridge,
+        );
+        Trained {
+            factorization,
+            fold_in,
+        }
+    }
+
+    /// [`Trained::new`], trained at most once per key per process: every
+    /// run of a seed shares one corpus, so only the first pays the SGD.
+    /// Training runs outside the lock; two threads that miss together
+    /// both train, and the first to insert wins (the two are equal).
+    fn shared(config: &QuasarConfig, factory: &RngFactory) -> Arc<Trained> {
+        static MEMO: OnceLock<Mutex<HashMap<CorpusKey, Arc<Trained>>>> = OnceLock::new();
+        let memo = MEMO.get_or_init(Mutex::default);
+        let key = CorpusKey {
+            seed: factory.master_seed(),
+            corpus_size: config.corpus_size,
+            rank: config.rank,
+            epochs: config.epochs,
+            learning_rate: config.learning_rate.to_bits(),
+            regularization: config.regularization.to_bits(),
+            ridge: config.ridge.to_bits(),
+            profiled_resources: config.profiled_resources,
+        };
+        // The map is never left half-updated, so a poisoned lock is safe.
+        let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(trained) = lock().get(&key) {
+            return Arc::clone(trained);
+        }
+        let trained = Arc::new(Trained::new(config, factory));
+        Arc::clone(lock().entry(key).or_insert(trained))
+    }
+}
+
+/// The profiling + classification engine.
+#[derive(Debug, Clone)]
+pub struct QuasarEngine {
+    config: QuasarConfig,
+    trained: Arc<Trained>,
+    profile_rng: SimRng,
+}
+
+impl QuasarEngine {
+    /// Builds the corpus, trains the factorization, and returns a ready
+    /// engine. Deterministic in `factory`; the trained corpus is shared
+    /// by every engine of the same seed and configuration in the process.
+    pub fn new(config: QuasarConfig, factory: &RngFactory) -> QuasarEngine {
+        let trained = Trained::shared(&config, factory);
+        QuasarEngine::with_trained(config, trained, factory)
+    }
+
+    fn with_trained(
+        config: QuasarConfig,
+        trained: Arc<Trained>,
+        factory: &RngFactory,
+    ) -> QuasarEngine {
         QuasarEngine {
             config,
-            factorization,
+            trained,
             profile_rng: factory.stream("quasar.profile"),
         }
     }
@@ -172,16 +250,10 @@ impl QuasarEngine {
     /// Profiles `job` in `env`, producing the sparse noisy signal.
     pub fn profile(&mut self, job: &JobSpec, env: &ProfilingEnvironment) -> ProfileSignal {
         let noise = Normal::new(0.0, env.noise_sigma);
-        let observations = self
-            .config
-            .profiled_resources
-            .iter()
-            .map(|&res| {
-                let truth = job.sensitivity.get(res);
-                let measured = (truth + noise.sample(&mut self.profile_rng)).clamp(0.0, 1.0);
-                (res.index(), measured)
-            })
-            .collect();
+        let measurements = self.config.profiled_resources.map(|res| {
+            let truth = job.sensitivity.get(res);
+            (truth + noise.sample(&mut self.profile_rng)).clamp(0.0, 1.0)
+        });
         // Sizing observation: mostly right, occasionally off by one size
         // step; noisier environments mis-size more often.
         let steps = Normal::new(0.0, env.noise_sigma * 3.0).sample(&mut self.profile_rng);
@@ -192,17 +264,20 @@ impl QuasarEngine {
         let idx =
             (true_idx as f64 + steps.round()).clamp(0.0, (VALID_SIZES.len() - 1) as f64) as usize;
         ProfileSignal {
-            observations,
+            measurements,
             cores_hint: VALID_SIZES[idx],
         }
     }
 
     /// Classifies a profile signal into a full estimate.
     pub fn classify(&self, signal: &ProfileSignal) -> JobEstimate {
-        let row = self
-            .factorization
-            .fold_in(&signal.observations, self.config.ridge);
-        let sensitivity = ResourceVector::from_fn(|i| row[i].clamp(0.0, 1.0));
+        // Training asserts `rank <= NUM_RESOURCES`.
+        let mut latent = [0.0; NUM_RESOURCES];
+        let latent = &mut latent[..self.config.rank];
+        self.trained.fold_in.latent(&signal.measurements, latent);
+        let factorization = &self.trained.factorization;
+        let sensitivity =
+            ResourceVector::from_fn(|i| factorization.reconstruct(latent, i).clamp(0.0, 1.0));
         JobEstimate {
             quality: resource_quality(&sensitivity),
             sensitivity,
@@ -331,6 +406,71 @@ mod tests {
         let job = job_of(AppClass::Memcached, 1);
         let env = ProfilingEnvironment::clean();
         assert_eq!(a.estimate(&job, &env), b.estimate(&job, &env));
+    }
+
+    /// Bit patterns of every estimate `engine` makes for a fixed job
+    /// stream, clean and noisy.
+    fn estimate_stream(mut engine: QuasarEngine) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for k in 0..120u64 {
+            let job = job_of(AppClass::ALL[(k % 6) as usize], 4200 + k);
+            for env in [ProfilingEnvironment::clean(), ProfilingEnvironment::noisy()] {
+                let est = engine.estimate(&job, &env);
+                bits.extend(est.sensitivity.as_array().map(f64::to_bits));
+                bits.push(est.quality.to_bits());
+                bits.push(u64::from(est.cores));
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn shared_corpus_estimates_match_a_fresh_training() {
+        let config = QuasarConfig::default();
+        // No other test uses this seed, so its corpus is not yet memoized.
+        let factory = RngFactory::new(2016).child("quasar");
+        let fresh = QuasarEngine::with_trained(
+            config.clone(),
+            Arc::new(Trained::new(&config, &factory)),
+            &factory,
+        );
+        let want = estimate_stream(fresh);
+
+        // Two threads released together both miss and both train; each
+        // gets the corpus inserted first.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        estimate_stream(QuasarEngine::new(config.clone(), &factory))
+                    })
+                })
+                .collect();
+            for thread in threads {
+                assert_eq!(thread.join().expect("estimating thread"), want);
+            }
+        });
+
+        let first = QuasarEngine::new(config.clone(), &factory);
+        let second = QuasarEngine::new(config.clone(), &factory);
+        assert!(Arc::ptr_eq(&first.trained, &second.trained), "trained once");
+        assert_eq!(estimate_stream(first), want);
+        assert_eq!(estimate_stream(second), want);
+
+        // Another seed or a field fold-in reads is another corpus.
+        let other_seed = QuasarEngine::new(config.clone(), &RngFactory::new(2017).child("quasar"));
+        let other_ridge = QuasarEngine::new(
+            QuasarConfig {
+                ridge: 0.1,
+                ..config.clone()
+            },
+            &factory,
+        );
+        let shared = QuasarEngine::new(config, &factory);
+        assert!(!Arc::ptr_eq(&other_seed.trained, &shared.trained));
+        assert!(!Arc::ptr_eq(&other_ridge.trained, &shared.trained));
     }
 
     #[test]

@@ -91,56 +91,148 @@ impl Matrix {
     }
 }
 
+/// A square system `A x = b` eliminated once, for any number of
+/// right-hand sides.
+///
+/// [`Elimination::of`] runs Gaussian elimination with partial pivoting
+/// on `A` alone and records what it did: the pivot row of each column,
+/// each multiplier, and the upper triangle. [`Elimination::substitute`]
+/// then applies to a right-hand side the row swaps and updates the
+/// elimination made, in the same order, and back-substitutes. Those are
+/// exactly the floating-point operations eliminating the augmented
+/// `[A | b]` applies to `b`, so every solution is bit-identical to a
+/// one-shot elimination's.
+#[derive(Debug, Clone, PartialEq)]
+struct Elimination {
+    /// The upper triangle on and above the diagonal. Below it, entry
+    /// `(r, col)` is the multiplier step `col` applied to row `r`, in that
+    /// step's row order (later swaps leave these columns in place).
+    lu: Matrix,
+    /// The row swapped into position `col` at step `col`.
+    pivots: Vec<usize>,
+}
+
+impl Elimination {
+    /// Eliminates `a`. Returns `None` if `a` is (numerically) singular.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square or holds a NaN.
+    fn of(a: &Matrix) -> Option<Elimination> {
+        let n = a.rows();
+        assert_eq!(a.cols(), n, "solve needs a square matrix");
+        let mut m = a.clone();
+        let mut pivots = Vec::with_capacity(n);
+        for col in 0..n {
+            let (pivot_row, pivot_val) = (col..n)
+                .map(|r| (r, m.get(r, col).abs()))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN in solve"))
+                .expect("non-empty range");
+            if pivot_val < 1e-12 {
+                return None;
+            }
+            if pivot_row != col {
+                for c in col..n {
+                    let tmp = m.get(col, c);
+                    m.set(col, c, m.get(pivot_row, c));
+                    m.set(pivot_row, c, tmp);
+                }
+            }
+            pivots.push(pivot_row);
+            // Eliminate below, keeping each multiplier where it zeroed.
+            for r in col + 1..n {
+                let f = m.get(r, col) / m.get(col, col);
+                m.set(r, col, f);
+                if f == 0.0 {
+                    continue;
+                }
+                for c in col + 1..n {
+                    let v = m.get(r, c) - f * m.get(col, c);
+                    m.set(r, c, v);
+                }
+            }
+        }
+        Some(Elimination { lu: m, pivots })
+    }
+
+    /// Solves for one right-hand side in place: `b` becomes `x`.
+    ///
+    /// # Panics
+    /// Panics if `b`'s length is not the system's size.
+    fn substitute(&self, b: &mut [f64]) {
+        let n = self.pivots.len();
+        assert_eq!(b.len(), n, "rhs length mismatch");
+        for (col, &pivot_row) in self.pivots.iter().enumerate() {
+            b.swap(col, pivot_row);
+            for r in col + 1..n {
+                let f = self.lu.get(r, col);
+                if f != 0.0 {
+                    b[r] -= f * b[col];
+                }
+            }
+        }
+        for col in (0..n).rev() {
+            let mut v = b[col];
+            for c in col + 1..n {
+                v -= self.lu.get(col, c) * b[c];
+            }
+            b[col] = v / self.lu.get(col, col);
+        }
+    }
+}
+
 /// Solves the small dense system `A x = b` by Gaussian elimination with
 /// partial pivoting. Returns `None` if `A` is (numerically) singular.
 ///
 /// # Panics
 /// Panics if shapes disagree.
 pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "solve needs a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    let mut m = a.clone();
+    assert_eq!(b.len(), a.rows(), "rhs length mismatch");
     let mut x = b.to_vec();
-    for col in 0..n {
-        // Pivot.
-        let (pivot_row, pivot_val) = (col..n)
-            .map(|r| (r, m.get(r, col).abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN in solve"))
-            .expect("non-empty range");
-        if pivot_val < 1e-12 {
-            return None;
-        }
-        if pivot_row != col {
-            for c in 0..n {
-                let tmp = m.get(col, c);
-                m.set(col, c, m.get(pivot_row, c));
-                m.set(pivot_row, c, tmp);
-            }
-            x.swap(col, pivot_row);
-        }
-        // Eliminate below.
-        for r in col + 1..n {
-            let f = m.get(r, col) / m.get(col, col);
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                let v = m.get(r, c) - f * m.get(col, c);
-                m.set(r, c, v);
-            }
-            x[r] -= f * x[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let mut v = x[col];
-        for c in col + 1..n {
-            v -= m.get(col, c) * x[c];
-        }
-        x[col] = v / m.get(col, col);
-    }
+    Elimination::of(a)?.substitute(&mut x);
     Some(x)
+}
+
+/// Ridge fold-in against a fixed list of observed columns.
+///
+/// The normal equations `(Vₒᵀ Vₒ + λI) w = Vₒᵀ y` have a matrix that
+/// depends only on which columns are observed, so it is built and
+/// eliminated once; folding in a row is then one right-hand side
+/// `Vₒᵀ y` and one substitution into the eliminated system.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldIn {
+    /// The observed columns' item factors (`observed × rank`), in
+    /// observation order.
+    observed: Matrix,
+    /// `None` when the normal equations are singular (e.g. no
+    /// observations and no ridge): the latent vector is then zero.
+    system: Option<Elimination>,
+}
+
+impl FoldIn {
+    /// Writes into `latent` the latent vector of a row whose observed
+    /// values are `values`, one per observed column, in order.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold one value per observed column or
+    /// `latent`'s length is not the rank.
+    pub fn latent(&self, values: &[f64], latent: &mut [f64]) {
+        assert_eq!(
+            values.len(),
+            self.observed.rows(),
+            "one value per observed column"
+        );
+        assert_eq!(latent.len(), self.observed.cols(), "latent length mismatch");
+        latent.fill(0.0);
+        for (i, &y) in values.iter().enumerate() {
+            for (b, &v) in latent.iter_mut().zip(self.observed.row(i)) {
+                *b += v * y;
+            }
+        }
+        match &self.system {
+            Some(system) => system.substitute(latent),
+            None => latent.fill(0.0),
+        }
+    }
 }
 
 /// A trained low-rank factorization `R ≈ U · Vᵀ`.
@@ -218,24 +310,29 @@ impl MatrixFactorization {
         (sum / (r.rows() * r.cols()) as f64).sqrt()
     }
 
-    /// Folds in a new row from sparse observations `(col, value)` by ridge
-    /// regression against the item factors, returning the full
-    /// reconstructed row.
+    /// The item factors (`cols × rank`).
+    pub fn item_factors(&self) -> &Matrix {
+        &self.item_factors
+    }
+
+    /// Prepares ridge fold-in against the observed `columns`: builds the
+    /// normal matrix `Vₒᵀ Vₒ + λI` and eliminates it.
     ///
-    /// Falls back to the column means of the training predictions if the
-    /// normal equations are singular (e.g. zero observations).
-    pub fn fold_in(&self, observed: &[(usize, f64)], ridge: f64) -> Vec<f64> {
-        // Normal equations: (Vₒᵀ Vₒ + λI) w = Vₒᵀ y over observed columns.
+    /// # Panics
+    /// Panics if a column is out of range.
+    pub fn fold_in_at(&self, columns: &[usize], ridge: f64) -> FoldIn {
+        let mut observed = Matrix::zeros(columns.len(), self.rank);
         let mut a = Matrix::zeros(self.rank, self.rank);
-        let mut b = vec![0.0; self.rank];
-        for &(col, y) in observed {
+        for (i, &col) in columns.iter().enumerate() {
             assert!(
                 col < self.item_factors.rows(),
                 "observed column {col} out of range"
             );
+            observed
+                .row_mut(i)
+                .copy_from_slice(self.item_factors.row(col));
             for k1 in 0..self.rank {
                 let vk1 = self.item_factors.get(col, k1);
-                b[k1] += vk1 * y;
                 for k2 in 0..self.rank {
                     let v = a.get(k1, k2) + vk1 * self.item_factors.get(col, k2);
                     a.set(k1, k2, v);
@@ -246,16 +343,34 @@ impl MatrixFactorization {
             let v = a.get(k, k) + ridge;
             a.set(k, k, v);
         }
-        let w = match solve(&a, &b) {
-            Some(w) => w,
-            None => vec![0.0; self.rank],
-        };
+        FoldIn {
+            observed,
+            system: Elimination::of(&a),
+        }
+    }
+
+    /// The reconstructed value at column `col` of a row with latent
+    /// vector `latent`.
+    pub fn reconstruct(&self, latent: &[f64], col: usize) -> f64 {
+        (0..self.rank)
+            .map(|k| latent[k] * self.item_factors.get(col, k))
+            .sum()
+    }
+
+    /// Folds in a new row from sparse observations `(col, value)` by ridge
+    /// regression against the item factors, returning the full
+    /// reconstructed row.
+    ///
+    /// If the normal equations are singular (e.g. zero observations and
+    /// no ridge), the latent vector is zero and so is the row.
+    pub fn fold_in(&self, observed: &[(usize, f64)], ridge: f64) -> Vec<f64> {
+        let columns: Vec<usize> = observed.iter().map(|&(col, _)| col).collect();
+        let values: Vec<f64> = observed.iter().map(|&(_, y)| y).collect();
+        let mut latent = vec![0.0; self.rank];
+        self.fold_in_at(&columns, ridge)
+            .latent(&values, &mut latent);
         (0..self.item_factors.rows())
-            .map(|j| {
-                (0..self.rank)
-                    .map(|k| w[k] * self.item_factors.get(j, k))
-                    .sum()
-            })
+            .map(|j| self.reconstruct(&latent, j))
             .collect()
     }
 }

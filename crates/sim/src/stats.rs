@@ -420,10 +420,11 @@ impl OnlineStats {
 /// `push` evicts once the window is full, and the same values sorted by
 /// [`f64::total_cmp`], which [`percentile`](RollingQuantiles::percentile)
 /// reads through [`percentile_sorted`] without cloning or sorting. A push
-/// is two binary searches plus at most one `Vec::remove` and one
-/// `Vec::insert`, O(cap); a read is O(1). This is the container behind
-/// the QoS monitor's per-type quality windows and the queueing
-/// estimator's interval and wait windows, which are read on every event.
+/// is two binary searches plus one shift of the sorted run between the
+/// evicted and the inserted value, O(cap); a read is O(1). This is the
+/// container behind the QoS monitor's per-type quality windows and the
+/// queueing estimator's interval and wait windows, which are read on
+/// every event.
 ///
 /// `total_cmp` keeps `-0.0` and `0.0` apart and orders `-0.0` first; for
 /// every other value the order is the usual one.
@@ -468,20 +469,29 @@ impl RollingQuantiles {
     pub fn push(&mut self, value: f64) {
         assert!(!value.is_nan(), "NaN pushed into RollingQuantiles");
         self.buf.push_back(value);
-        if self.buf.len() > self.cap {
-            let old = self.buf.pop_front().expect("overfull window is non-empty");
-            // Equal values are bit-identical: a repeat leaves the sorted copy
-            // as it is, and otherwise evicting the last copy of `old` shifts
-            // nothing when it is the largest value (a full server's 1.0).
-            if old.to_bits() == value.to_bits() {
-                return;
-            }
-            let at = self.sorted.partition_point(|x| x.total_cmp(&old).is_le()) - 1;
-            debug_assert_eq!(self.sorted[at].to_bits(), old.to_bits(), "out of sync");
-            self.sorted.remove(at);
+        let insert_at = |sorted: &[f64]| sorted.partition_point(|x| x.total_cmp(&value).is_le());
+        if self.buf.len() <= self.cap {
+            self.sorted.insert(insert_at(&self.sorted), value);
+            return;
         }
-        let at = self.sorted.partition_point(|x| x.total_cmp(&value).is_le());
-        self.sorted.insert(at, value);
+        let old = self.buf.pop_front().expect("overfull window is non-empty");
+        // Equal values are bit-identical: a repeat leaves the sorted copy
+        // as it is.
+        if old.to_bits() == value.to_bits() {
+            return;
+        }
+        // Evict the last copy of `old` and insert `value` with one shift
+        // of the run between them.
+        let out = self.sorted.partition_point(|x| x.total_cmp(&old).is_le()) - 1;
+        debug_assert_eq!(self.sorted[out].to_bits(), old.to_bits(), "out of sync");
+        let at = insert_at(&self.sorted);
+        if at > out {
+            self.sorted.copy_within(out + 1..at, out);
+            self.sorted[at - 1] = value;
+        } else {
+            self.sorted.copy_within(at..out, at + 1);
+            self.sorted[at] = value;
+        }
     }
 
     /// Number of samples currently held.
@@ -736,6 +746,38 @@ mod tests {
         assert_eq!(w.len(), 4);
         assert_eq!(w.percentile(0.0), Some(3.0));
         assert_eq!(w.percentile(100.0), Some(3.0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// After every push the sorted copy is, bit for bit, the window
+        /// sorted by `total_cmp`: every entry, where the percentile test
+        /// in `tests/properties.rs` reads a few. Pools of two to six
+        /// values make nearly every push evict a duplicate, and often its
+        /// own value (the early return); windows of size 1 to 4 evict on
+        /// every push, and the larger one shifts runs in both directions.
+        #[test]
+        fn rolling_quantiles_sorted_copy_is_the_sorted_window(
+            cap_pick in 0usize..6,
+            pool_size in 2usize..7,
+            picks in proptest::prop::collection::vec(0usize..6, 1..200),
+        ) {
+            const POOL: [f64; 6] = [0.5, 1.0, -0.0, 0.0, 0.25, 7.0];
+            let cap = [1, 1, 2, 3, 4, 33][cap_pick];
+            let mut w = RollingQuantiles::new(cap);
+            let mut pushed = Vec::new();
+            for i in picks {
+                let v = POOL[i % pool_size];
+                w.push(v);
+                pushed.push(v);
+                let mut window = pushed[pushed.len().saturating_sub(cap)..].to_vec();
+                window.sort_by(f64::total_cmp);
+                let got: Vec<u64> = w.sorted.iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u64> = window.iter().map(|x| x.to_bits()).collect();
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]
