@@ -3,7 +3,7 @@
 use hcloud_cloud::CloudConfig;
 use hcloud_faults::FaultPlan;
 use hcloud_quasar::QuasarConfig;
-use hcloud_sim::{SimDuration, SimTime};
+use hcloud_sim::SimDuration;
 use hcloud_workloads::Scenario;
 
 use crate::mapping::MappingPolicy;
@@ -278,19 +278,16 @@ impl RunConfig {
         if !self.strategy.uses_reserved() {
             return 0;
         }
-        let cfg = scenario.config();
-        // Scan the analytic demand curve (the paper assumes knowledge of
-        // min/max aggregate load; Section 1).
+        // Sample the analytic demand curve every 30 s (the paper assumes
+        // knowledge of min/max aggregate load; Section 1).
         let mut peak = 0.0f64;
         let mut min = f64::MAX;
-        let step = SimDuration::from_secs(30);
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + cfg.duration;
-        while t <= end {
-            let v = cfg.target_cores(t);
+        for v in scenario
+            .config()
+            .target_cores_every(SimDuration::from_secs(30))
+        {
             peak = peak.max(v);
             min = min.min(v);
-            t += step;
         }
         self.strategy.reserved_cores(&ReservedSizingCtx {
             peak_cores: peak,

@@ -21,10 +21,10 @@ use hcloud_sim::slot::SlotKey;
 /// Typed handle to a scheduler-tracked instance.
 ///
 /// Wraps a generational [`SlotKey`]: the index is stable for the lifetime
-/// of a run (slots are never reused, so `index()` is safe to expose in
-/// telemetry), and the generation makes handles to released instances
-/// stale. Ordering follows the acquisition order, which keeps every
-/// index-ordered iteration deterministic.
+/// of a run (a released instance's slot is retired, never reused, so
+/// `index()` is safe to expose in telemetry), and a handle to a released
+/// instance fails typed. Ordering follows the acquisition order, which
+/// keeps every index-ordered iteration deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceHandle(SlotKey);
 

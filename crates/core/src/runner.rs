@@ -14,6 +14,12 @@
 //! [`EventQueue`] and applies the batch as a slice, acknowledging each
 //! event as it is dispatched so queue-depth telemetry stays
 //! byte-identical to a one-pop-per-iteration loop.
+//!
+//! Arrivals stream from the scenario's sorted job list: the queue reserves
+//! one sequence number per job at set-up but holds only the next group of
+//! equal-time arrivals, and the group's last dispatch feeds the next one
+//! in. Every tie pops, and every depth count reads, as if all arrivals had
+//! been pushed at set-up.
 
 use hcloud_audit::Auditor;
 // Re-exported so downstream `main() -> Result<(), AuditViolation>`
@@ -23,7 +29,7 @@ use hcloud_sim::event::{EventQueue, EventSink};
 use hcloud_sim::rng::RngFactory;
 use hcloud_sim::SimTime;
 use hcloud_telemetry::{trace_event, ProfSpan, Profiler, TraceKind, Tracer};
-use hcloud_workloads::Scenario;
+use hcloud_workloads::{JobSpec, Scenario};
 
 use crate::config::RunConfig;
 use crate::result::RunResult;
@@ -128,6 +134,14 @@ impl<'p> ProfiledQueue<'p> {
         }
     }
 
+    /// [`EventQueue::schedule_reserved`], timed as a push.
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        let profiler = self.profiler;
+        profiler.time(ProfSpan::EventPush, || {
+            self.inner.schedule_reserved(at, seq, event)
+        })
+    }
+
     fn drain_next_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
         let profiler = self.profiler;
         profiler.time(ProfSpan::EventPop, || self.inner.drain_next_batch(buf))
@@ -147,6 +161,55 @@ impl<'p> ProfiledQueue<'p> {
 
     fn max_depth(&self) -> usize {
         self.inner.max_depth()
+    }
+}
+
+/// The scenario's arrivals, fed into the queue one group of equal-time
+/// arrivals at a time. Job `i` pops as `Event::Arrival(i)` under sequence
+/// number `first_seq + i`, reserved at set-up, so the stream pops exactly
+/// as if it had been pushed whole before anything else.
+struct Arrivals<'s> {
+    jobs: &'s [JobSpec],
+    first_seq: u64,
+    /// Position of the first arrival not yet in the queue.
+    next: usize,
+}
+
+impl<'s> Arrivals<'s> {
+    /// Reserves the stream's sequence numbers and feeds its first group.
+    fn new(jobs: &'s [JobSpec], events: &mut ProfiledQueue) -> Self {
+        let first_seq = events.inner.reserve(jobs.len());
+        let mut arrivals = Arrivals {
+            jobs,
+            first_seq,
+            next: 0,
+        };
+        arrivals.feed(events);
+        arrivals
+    }
+
+    /// Pushes the next group of equal-time arrivals, if any remain.
+    fn feed(&mut self, events: &mut ProfiledQueue) {
+        let Some(at) = self.jobs.get(self.next).map(|j| j.arrival) else {
+            return;
+        };
+        debug_assert!(
+            self.next == 0 || self.jobs[self.next - 1].arrival < at,
+            "scenario jobs ascend by arrival"
+        );
+        while self.jobs.get(self.next).is_some_and(|j| j.arrival == at) {
+            let seq = self.first_seq + self.next as u64;
+            events.schedule_reserved(at, seq, Event::Arrival(self.next));
+            self.next += 1;
+        }
+    }
+
+    /// Arrival `idx` was dispatched: if it closed the queued group, the
+    /// next group goes in, strictly later than now.
+    fn dispatched(&mut self, idx: usize, events: &mut ProfiledQueue) {
+        if idx + 1 == self.next {
+            self.feed(events);
+        }
     }
 }
 
@@ -173,9 +236,7 @@ pub fn run_scenario(
         profiler.clone(),
     );
     let mut events = ProfiledQueue::new(profiler);
-    for job in scenario.jobs() {
-        events.schedule(job.arrival, Event::Arrival(job.id));
-    }
+    let mut arrivals = Arrivals::new(scenario.jobs(), &mut events);
     let last_arrival = scenario
         .jobs()
         .last()
@@ -202,17 +263,18 @@ pub fn run_scenario(
             events.ack();
             events_processed += 1;
             let stepped = match event {
-                Event::Arrival(id) => {
+                Event::Arrival(idx) => {
                     sched
-                        .on_arrival(id, t, &mut events)
-                        .expect("arrivals are seeded from the scenario's own job ids");
+                        .on_arrival(idx, t, &mut events)
+                        .expect("arrivals are fed from the scenario's own job list");
+                    arrivals.dispatched(idx, &mut events);
                     Ok(())
                 }
-                Event::Start(jid) => {
-                    sched.on_start(jid, t, &mut events);
+                Event::Start(key) => {
+                    sched.on_start(key, t, &mut events);
                     Ok(())
                 }
-                Event::Finish(jid, v) => sched.on_finish(jid, v, t, &mut events),
+                Event::Finish(key, v) => sched.on_finish(key, v, t, &mut events),
                 Event::Retention(idx, token) => {
                     sched.on_retention(idx, token, t);
                     Ok(())

@@ -280,8 +280,8 @@ impl<'a> Scheduler<'a> {
             starved_tenant: p.starved_tenant.0,
             work_lost_core_secs: lost,
         };
-        if self.running_by_id.contains_key(&jid) {
-            let (job, now_idle) = self.evict(jid, now, "tenant-preemption work loss", preempt)?;
+        if let Some(&key) = self.running_by_id.get(&jid) {
+            let (job, now_idle) = self.evict(key, now, "tenant-preemption work loss", preempt)?;
             if self.inst(job.instance).reserved {
                 self.reserved_busy.record_delta(now, -(job.cores as f64));
                 self.queue_est.record_release(job.cores, now);

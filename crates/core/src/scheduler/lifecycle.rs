@@ -10,7 +10,7 @@ use hcloud_sim::event::EventSink;
 use hcloud_sim::slot::SlotKey;
 use hcloud_sim::{SimDuration, SimTime};
 use hcloud_telemetry::{trace_event, TraceKind};
-use hcloud_workloads::{JobId, JobKind, JobSpec};
+use hcloud_workloads::{JobKind, JobSpec};
 
 use super::{audited_since, Carryover, Colocated, Event, RunningJob, SchedInstance, Scheduler};
 use crate::placement::InstanceHandle;
@@ -21,24 +21,16 @@ use crate::strategy::{RetentionCtx, RetentionDecision};
 const MAX_ACQUIRE_ATTEMPTS: u32 = 6;
 
 impl<'a> Scheduler<'a> {
-    /// Binds `jid` (living in arena slot `key`) to `h`, charging `cores`,
-    /// and keeps the idle-retention index in sync: an idle instance that
-    /// takes a job leaves it.
-    pub(super) fn attach_job(
-        &mut self,
-        h: InstanceHandle,
-        jid: JobId,
-        key: SlotKey,
-        cores: u32,
-        now: SimTime,
-    ) {
+    /// Binds the running job in arena slot `key` to `h`, charging
+    /// `cores`, and keeps the idle-retention index in sync: an idle
+    /// instance that takes a job leaves it.
+    pub(super) fn attach_job(&mut self, h: InstanceHandle, key: SlotKey, cores: u32, now: SimTime) {
         let inst = self
             .instances
             .get_mut(h.key())
             .expect("attach to live instance");
         inst.used_cores += cores;
         inst.jobs.push(Colocated {
-            job: jid,
             key,
             stamp: 0,
             slowdown: 0.0,
@@ -53,9 +45,10 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Unbinds `jid` from `h`, freeing `cores`. Returns `true` when the
-    /// instance is left empty; the caller then decides between retention
-    /// (which re-enters the idle index) and release.
+    /// Unbinds the job in arena slot `key` from `h`, freeing `cores`.
+    /// Returns `true` when the instance is left empty; the caller then
+    /// decides between retention (which re-enters the idle index) and
+    /// release.
     ///
     /// Freeing more cores than are bound is a conservation bug (e.g. a
     /// double unbind): it is reported as a typed [`AuditViolation`]
@@ -63,7 +56,7 @@ impl<'a> Scheduler<'a> {
     pub(super) fn detach_job(
         &mut self,
         h: InstanceHandle,
-        jid: JobId,
+        key: SlotKey,
         cores: u32,
         now: SimTime,
     ) -> Result<bool, AuditViolation> {
@@ -84,7 +77,7 @@ impl<'a> Scheduler<'a> {
             return Err(violation);
         };
         inst.used_cores = remaining;
-        inst.jobs.retain(|c| c.job != jid);
+        inst.jobs.retain(|c| c.key != key);
         inst.restamp(&mut self.stamps);
         let empty = inst.jobs.is_empty();
         let cloud_id = inst.cloud_id.raw();
@@ -265,7 +258,7 @@ impl<'a> Scheduler<'a> {
         let Ok(inst) = self.instances.get(h.key()) else {
             return Ok(());
         };
-        let victims: Vec<JobId> = inst.jobs.iter().map(|c| c.job).collect();
+        let victims: Vec<SlotKey> = inst.jobs.iter().map(|c| c.key).collect();
         trace_event!(
             self.tracer,
             now,
@@ -280,17 +273,18 @@ impl<'a> Scheduler<'a> {
         // Evict every victim before releasing the instance — re-admission
         // must never pack onto the dying host.
         let mut displaced = Vec::with_capacity(victims.len());
-        for jid in victims {
-            if !self.running_by_id.contains_key(&jid) {
+        for key in victims {
+            let Ok(job) = self.running.get(key) else {
                 continue;
-            }
+            };
+            let jid = job.id;
             self.counters.spot_terminations += 1;
             self.admission.release(jid.0);
             let requeue = |lost| TraceKind::RecoveryRequeue {
                 job: jid.0,
                 work_lost_core_secs: lost,
             };
-            let (job, _) = self.evict(jid, now, "spot-termination work loss", requeue)?;
+            let (job, _) = self.evict(key, now, "spot-termination work loss", requeue)?;
             displaced.push(job);
         }
         self.release_instance(h, now);
@@ -301,7 +295,7 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Evicts the running job `jid` (spot termination, tenant
+    /// Evicts the running job in slot `key` (spot termination, tenant
     /// preemption). The work it did since its last checkpoint tick is
     /// redone from the checkpoint: it was real core-time, now lost, and
     /// is booked to the run's counter, the auditor and the tenant
@@ -312,17 +306,17 @@ impl<'a> Scheduler<'a> {
     /// time-inversion report.
     pub(super) fn evict(
         &mut self,
-        jid: JobId,
+        key: SlotKey,
         now: SimTime,
         context: &'static str,
         trace: impl FnOnce(f64) -> TraceKind,
     ) -> Result<(RunningJob, bool), AuditViolation> {
-        let job = self.running_job(jid).expect("evicted job is running");
-        let (cores, h) = (job.cores, job.instance);
+        let job = self.job(key);
+        let (jid, cores, h) = (job.id, job.cores, job.instance);
         let spec = &self.scenario.jobs()[job.spec_idx];
         let lost = if job.started && matches!(spec.kind, JobKind::Batch { .. }) {
             let eff = cores.min(spec.cores).max(1) as f64;
-            let slowdown = self.current_slowdown(jid, now);
+            let slowdown = self.current_slowdown(key, now);
             let since = audited_since(&self.auditor, now, job.last_progress, jid.0, context);
             since.as_secs_f64() * eff / slowdown
         } else {
@@ -333,9 +327,8 @@ impl<'a> Scheduler<'a> {
         self.auditor.job_requeued(now, jid.0);
         self.admission.work_lost(now, jid.0, lost);
         trace_event!(self.tracer, now, trace(lost));
-        let now_idle = self.detach_job(h, jid, cores, now)?;
-        let job = self.remove_running(jid).expect("evicted job is running");
-        Ok((job, now_idle))
+        let now_idle = self.detach_job(h, key, cores, now)?;
+        Ok((self.remove_running(key), now_idle))
     }
 
     /// Re-admits an evicted job through the same admission path as a
@@ -357,7 +350,6 @@ impl<'a> Scheduler<'a> {
         let carry = Carryover {
             remaining_work: job.remaining_work,
             queue_delay: job.queue_delay,
-            finish_version: job.finish_version,
         };
         self.admit(
             job.spec_idx,
@@ -437,12 +429,10 @@ impl<'a> Scheduler<'a> {
     /// outstanding handle turns stale) and drops it from all indices.
     /// Stale handles make double releases impossible by construction.
     pub(super) fn release_instance(&mut self, h: InstanceHandle, now: SimTime) {
-        let Ok(inst) = self.instances.get_mut(h.key()) else {
+        let Ok(inst) = self.instances.get(h.key()) else {
             return;
         };
         debug_assert!(!inst.reserved, "reserved instances are never released");
-        // The arena keeps retired slots: free the colocation vector.
-        inst.jobs = Vec::new();
         let vcpus = inst.itype.vcpus() as f64;
         let id = inst.cloud_id;
         let bucket = (inst.itype.family(), inst.itype.vcpus(), h);
@@ -504,16 +494,15 @@ impl<'a> Scheduler<'a> {
         else {
             return Ok(());
         };
-        let moving: Vec<(JobId, SlotKey)> =
-            self.inst(src).jobs.iter().map(|c| (c.job, c.key)).collect();
-        for (jid, key) in moving {
+        let moving: Vec<SlotKey> = self.inst(src).jobs.iter().map(|c| c.key).collect();
+        for key in moving {
             let Ok(job) = self.running.get_mut(key) else {
                 continue;
             };
             let cores = job.cores;
             job.instance = dst;
-            self.detach_job(src, jid, cores, now)?;
-            self.attach_job(dst, jid, key, cores, now);
+            self.detach_job(src, key, cores, now)?;
+            self.attach_job(dst, key, cores, now);
         }
         self.inst_mut(dst).retention_token += 1;
         if self.inst(src).jobs.is_empty() {

@@ -68,15 +68,18 @@ use admission::Admission;
 /// Discrete events driving the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// The job with this scenario id arrives. Typed: an id the scenario
-    /// does not contain fails [`Scheduler::on_arrival`] instead of
-    /// silently indexing another job's spec.
-    Arrival(JobId),
-    /// A job begins executing on its assigned instance.
-    Start(JobId),
-    /// A job's projected finish; `u64` is the projection version (stale
-    /// versions are ignored).
-    Finish(JobId, u64),
+    /// The job at this position of the scenario's job list arrives. A
+    /// position past the end fails [`Scheduler::on_arrival`] typed.
+    Arrival(usize),
+    /// The running job in this arena slot begins executing on its
+    /// assigned instance. The key is stale (and the event a no-op) once
+    /// that job has finished or been evicted, even if a later job holds
+    /// the slot.
+    Start(SlotKey),
+    /// The projected finish of the running job in this arena slot; `u64`
+    /// is the projection version. Stale keys and superseded versions are
+    /// ignored.
+    Finish(SlotKey, u64),
     /// Periodic monitor tick.
     Tick,
     /// Retention timeout for an instance with token `u64`. The handle is
@@ -87,18 +90,24 @@ pub enum Event {
     SpotTermination(InstanceHandle),
 }
 
-/// An arrival for a [`JobId`] this scenario does not contain — the typed
-/// failure that replaces silent out-of-bounds indexing on the scheduler's
-/// public surface.
+/// An arrival for a position past the end of the scenario's job list —
+/// the typed failure that replaces a panic on out-of-bounds indexing on
+/// the scheduler's public surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnknownJob {
-    /// The foreign id.
-    pub id: JobId,
+    /// The foreign position.
+    pub position: usize,
+    /// How many jobs the scenario holds.
+    pub jobs: usize,
 }
 
 impl std::fmt::Display for UnknownJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} is not part of this scenario", self.id.0)
+        write!(
+            f,
+            "arrival position {} is past the end of this scenario's {} jobs",
+            self.position, self.jobs
+        )
     }
 }
 
@@ -113,11 +122,11 @@ struct SchedInstance {
     spot: bool,
     ready_at: SimTime,
     used_cores: u32,
-    /// Jobs bound to this instance, in arrival order, each with its slot
-    /// in the running-job arena so hot paths (interference sums) reach
-    /// job state in O(1) without an id lookup. Kept as a small vector
-    /// (not a set): interference sums iterate it in insertion order,
-    /// which floating-point addition makes order-bearing.
+    /// Jobs bound to this instance, in arrival order, each by its slot in
+    /// the running-job arena so hot paths (interference sums) reach job
+    /// state in O(1). Kept as a small vector (not a set): interference
+    /// sums iterate it in insertion order, which floating-point addition
+    /// makes order-bearing.
     jobs: Vec<Colocated>,
     retention_token: u64,
     /// Redrawn from the run's stamp counter whenever the slowdown of a
@@ -132,7 +141,6 @@ struct SchedInstance {
 /// One job bound to an instance, with its memoized slowdown.
 #[derive(Debug, Clone, Copy)]
 struct Colocated {
-    job: JobId,
     /// The job's slot in the running-job arena.
     key: SlotKey,
     /// The instance stamp `slowdown` was computed under; 0, which the
@@ -216,6 +224,7 @@ fn audited_since(
 /// A job currently assigned to an instance.
 #[derive(Debug, Clone)]
 struct RunningJob {
+    id: JobId,
     spec_idx: usize,
     instance: InstanceHandle,
     cores: u32,
@@ -251,16 +260,15 @@ struct QueuedJob {
 }
 
 /// State a preempted job carries into its re-admission, so the new life
-/// resumes where the old one checkpointed instead of restarting.
+/// resumes where the old one checkpointed instead of restarting. The new
+/// life gets a new arena key, so the old life's pending `Start` and
+/// `Finish` events stay stale.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Carryover {
     /// Batch work still owed (as of the last checkpoint tick).
     remaining_work: f64,
     /// Queueing delay already accumulated in previous lives.
     queue_delay: SimDuration,
-    /// Highest finish-projection version the old life issued; the new
-    /// life must start above it so stale `Finish` events stay stale.
-    finish_version: u64,
 }
 
 /// The scheduler state for one scenario run.
@@ -282,10 +290,9 @@ pub struct Scheduler<'a> {
     mapping_rng: SimRng,
     latency_model: LatencyModel,
 
-    /// All instances ever held, in acquisition order. The arena is
-    /// append-only: releasing retires the slot (outstanding handles fail
-    /// typed) but never reuses its index, so `InstanceHandle::index` is a
-    /// stable telemetry identifier.
+    /// All instances ever held, in acquisition order. Releasing retires
+    /// the slot (outstanding handles fail typed) and never reuses its
+    /// index, so `InstanceHandle::index` is a stable telemetry identifier.
     instances: SlotMap<SchedInstance>,
     /// The reserved full-server pool, in provisioning (= index) order.
     /// Fixed for the whole run; reserved instances are never released.
@@ -302,17 +309,17 @@ pub struct Scheduler<'a> {
     idle_buckets: BTreeSet<(Family, u32, InstanceHandle)>,
     reserved_total: u32,
     queue: VecDeque<QueuedJob>,
-    /// Running-job state lives in an append-only slot arena; instances
-    /// hold `(JobId, SlotKey)` pairs for O(1) access on interference hot
-    /// paths, and `running_by_id` resolves scenario ids. The id index is
-    /// a `BTreeMap` because the tick loop iterates it ascending by id —
-    /// an order floating-point accumulation makes order-bearing.
+    /// Running-job state lives in a slot arena whose slots are recycled:
+    /// a finished or evicted job's slot goes to a later job under a new
+    /// generation, so the arena holds about peak-concurrency slots.
+    /// Instances, `Start` and `Finish` events hold the job's key and
+    /// reach it in O(1); a key outliving its job fails typed.
     running: SlotMap<RunningJob>,
+    /// The running jobs ascending by scenario id: the tick walks them in
+    /// this order, which floating-point accumulation makes
+    /// order-bearing. Tenant preemption (which names a job id) is its
+    /// only other reader.
     running_by_id: BTreeMap<JobId, SlotKey>,
-    /// Scenario job id → index into `scenario.jobs()`, built once at
-    /// construction so typed arrivals resolve without trusting raw
-    /// indices (`Scenario::from_jobs` permits arbitrary ids).
-    job_index: BTreeMap<JobId, usize>,
 
     outcomes: Vec<JobOutcome>,
     od_allocated: StepSeries,
@@ -338,8 +345,8 @@ pub struct Scheduler<'a> {
     admission: Admission,
     /// The last stamp handed to an instance (see `SchedInstance::stamp`).
     stamps: u64,
-    /// The monitor tick's `(job, arena slot)` walk, reused across ticks.
-    tick_jobs: Vec<(JobId, SlotKey)>,
+    /// The monitor tick's walk of running-job keys, reused across ticks.
+    tick_jobs: Vec<SlotKey>,
 }
 
 /// Wire names for the utilization bands of a `limit-crossing` event.
@@ -404,12 +411,6 @@ impl<'a> Scheduler<'a> {
         let quasar = config
             .profiling
             .then(|| QuasarEngine::new(config.quasar.clone(), &factory.child("quasar")));
-        let job_index: BTreeMap<JobId, usize> = scenario
-            .jobs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| (spec.id, i))
-            .collect();
         Scheduler {
             scenario,
             config,
@@ -434,7 +435,6 @@ impl<'a> Scheduler<'a> {
             queue: VecDeque::new(),
             running: SlotMap::new(),
             running_by_id: BTreeMap::new(),
-            job_index,
             outcomes: Vec::new(),
             od_allocated: StepSeries::new(0.0),
             reserved_busy: StepSeries::new(0.0),
@@ -470,7 +470,7 @@ impl<'a> Scheduler<'a> {
     /// deferred jobs in this count keeps the runner's monitor tick alive
     /// until the DRR drain has released every one of them.
     pub fn pending_jobs(&self) -> usize {
-        self.running_by_id.len() + self.queue.len() + self.admission.held()
+        self.running.live_len() + self.queue.len() + self.admission.held()
     }
 
     // ------------------------------------------------------------------
@@ -490,29 +490,25 @@ impl<'a> Scheduler<'a> {
             .expect("live instance handle")
     }
 
-    /// The running job with scenario id `jid`, if any.
-    fn running_job(&self, jid: JobId) -> Option<&RunningJob> {
-        let &key = self.running_by_id.get(&jid)?;
-        Some(self.running.get(key).expect("id-index entry is live"))
+    /// The running job in arena slot `key`. Internal call sites only
+    /// hold keys of running jobs; a stale key here is a logic error.
+    fn job(&self, key: SlotKey) -> &RunningJob {
+        self.running.get(key).expect("running job key")
     }
 
-    /// Mutable access to the running job with scenario id `jid`.
-    fn running_job_mut(&mut self, jid: JobId) -> Option<&mut RunningJob> {
-        let &key = self.running_by_id.get(&jid)?;
-        Some(self.running.get_mut(key).expect("id-index entry is live"))
+    /// Mutable access to the running job in arena slot `key`.
+    fn job_mut(&mut self, key: SlotKey) -> &mut RunningJob {
+        self.running.get_mut(key).expect("running job key")
     }
 
-    /// Removes `jid` from the running set, retiring its arena slot so any
-    /// key still held for it (e.g. in an instance's job list) fails typed.
-    fn remove_running(&mut self, jid: JobId) -> Option<RunningJob> {
-        let key = self.running_by_id.remove(&jid)?;
-        let job = self
-            .running
-            .get(key)
-            .expect("id-index entry is live")
-            .clone();
-        self.running.retire(key).expect("id-index entry is live");
-        Some(job)
+    /// Moves the running job in slot `key` out of the running set. The
+    /// slot goes back to the arena under a new generation, so any key
+    /// still held for this job (a pending `Start` or `Finish`) fails
+    /// typed, even once a later job holds the slot.
+    fn remove_running(&mut self, key: SlotKey) -> RunningJob {
+        let job = self.running.remove(key).expect("running job key");
+        self.running_by_id.remove(&job.id);
+        job
     }
 
     // ------------------------------------------------------------------
@@ -553,17 +549,20 @@ impl<'a> Scheduler<'a> {
     // Arrival & placement
     // ------------------------------------------------------------------
 
-    /// Handles a job arrival, resolving the typed scenario id. An id the
-    /// scenario does not contain fails with [`UnknownJob`] instead of
-    /// silently indexing another job's spec.
+    /// Handles the arrival of the job at `idx` in the scenario's job list.
+    /// A position past the end fails with [`UnknownJob`].
     pub fn on_arrival(
         &mut self,
-        id: JobId,
+        idx: usize,
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), UnknownJob> {
-        let &idx = self.job_index.get(&id).ok_or(UnknownJob { id })?;
-        let est = self.estimate(&self.scenario.jobs()[idx]);
+        let jobs = self.scenario.jobs();
+        let spec = jobs.get(idx).ok_or(UnknownJob {
+            position: idx,
+            jobs: jobs.len(),
+        })?;
+        let est = self.estimate(spec);
         if self.auditor.is_enabled() {
             let spec = &self.scenario.jobs()[idx];
             let demanded = match spec.kind {
@@ -823,6 +822,7 @@ impl<'a> Scheduler<'a> {
             (JobKind::LatencyCritical { .. }, _) => 0.0,
         };
         let key = self.running.insert(RunningJob {
+            id: spec.id,
             spec_idx,
             instance: h,
             cores,
@@ -831,9 +831,7 @@ impl<'a> Scheduler<'a> {
             queue_delay: queue_delay + carry.map_or(SimDuration::ZERO, |c| c.queue_delay),
             remaining_work,
             last_progress: start_at,
-            // Resume above the old life's projection versions so its
-            // stale Finish events are ignored.
-            finish_version: carry.map_or(0, |c| c.finish_version),
+            finish_version: 0,
             lat_weighted_sum: 0.0,
             lat_weight: 0.0,
             isolation_p99,
@@ -841,8 +839,8 @@ impl<'a> Scheduler<'a> {
             rescheduled: carry.is_some(),
         });
         self.running_by_id.insert(spec.id, key);
-        self.attach_job(h, spec.id, key, cores, now);
-        events.schedule(start_at, Event::Start(spec.id));
+        self.attach_job(h, key, cores, now);
+        events.schedule(start_at, Event::Start(key));
     }
 
     // ------------------------------------------------------------------

@@ -9,7 +9,7 @@ use hcloud_sim::event::EventSink;
 use hcloud_sim::slot::SlotKey;
 use hcloud_sim::{SimDuration, SimTime};
 use hcloud_telemetry::{trace_event, ProfSpan, TraceKind};
-use hcloud_workloads::{JobId, JobKind};
+use hcloud_workloads::JobKind;
 
 use super::{audited_since, Event, Scheduler};
 use crate::placement::InstanceHandle;
@@ -20,19 +20,19 @@ impl<'a> Scheduler<'a> {
     // Interference
     // ------------------------------------------------------------------
 
-    /// Aggregate pressure on instance `inst_idx` from co-scheduled jobs
-    /// (true sensitivities, scaled by their core share), excluding
-    /// `exclude`.
+    /// Aggregate pressure on instance `h` from co-scheduled jobs (true
+    /// sensitivities, scaled by their core share), excluding the job in
+    /// slot `exclude`.
     pub(super) fn internal_pressure(
         &self,
         h: InstanceHandle,
-        exclude: Option<JobId>,
+        exclude: Option<SlotKey>,
     ) -> ResourceVector {
         let inst = self.inst(h);
         let server = InstanceType::full_server().vcpus() as f64;
         let mut total = ResourceVector::ZERO;
         for c in &inst.jobs {
-            if Some(c.job) == exclude {
+            if Some(c.key) == exclude {
                 continue;
             }
             // O(1) arena access; a stale key is a job no longer running.
@@ -48,22 +48,23 @@ impl<'a> Scheduler<'a> {
         total.scale(self.config.internal_pressure_scale)
     }
 
-    /// The total pressure a job experiences right now: external tenants
-    /// plus co-scheduled jobs.
-    fn pressure_on(&self, jid: JobId, now: SimTime) -> ResourceVector {
-        let job = self.running_job(jid).expect("running");
+    /// The total pressure the job in slot `key` experiences right now:
+    /// external tenants plus co-scheduled jobs.
+    fn pressure_on(&self, key: SlotKey, now: SimTime) -> ResourceVector {
+        let job = self.job(key);
         let inst = self.inst(job.instance);
         let external = self.cloud.external_pressure(inst.cloud_id, now);
-        external.add(&self.internal_pressure(job.instance, Some(jid)))
+        external.add(&self.internal_pressure(job.instance, Some(key)))
     }
 
-    /// The multiplicative slowdown `jid` currently suffers: interference
-    /// from external tenants and co-scheduled jobs, times any injected
-    /// performance fault on the host (1.0 without an active fault plan).
-    pub(super) fn current_slowdown(&self, jid: JobId, now: SimTime) -> f64 {
-        let job = self.running_job(jid).expect("running");
+    /// The multiplicative slowdown the job in slot `key` currently
+    /// suffers: interference from external tenants and co-scheduled jobs,
+    /// times any injected performance fault on the host (1.0 without an
+    /// active fault plan).
+    pub(super) fn current_slowdown(&self, key: SlotKey, now: SimTime) -> f64 {
+        let job = self.job(key);
         let spec = &self.scenario.jobs()[job.spec_idx];
-        let pressure = self.pressure_on(jid, now);
+        let pressure = self.pressure_on(key, now);
         let host = self.inst(job.instance).cloud_id;
         self.cloud
             .slowdown_model()
@@ -71,11 +72,12 @@ impl<'a> Scheduler<'a> {
             * self.cloud.fault_slowdown(host, now)
     }
 
-    /// [`Self::current_slowdown`] of `jid`, bound to `h`, read from its
-    /// colocation entry while the entry's stamp is still the instance's.
-    /// A change of the cloud's interference epoch restamps the instance
-    /// here; the co-runner changes restamp it where they happen.
-    pub(super) fn memo_slowdown(&mut self, h: InstanceHandle, jid: JobId, now: SimTime) -> f64 {
+    /// [`Self::current_slowdown`] of the job in slot `key`, bound to `h`,
+    /// read from its colocation entry while the entry's stamp is still
+    /// the instance's. A change of the cloud's interference epoch
+    /// restamps the instance here; the co-runner changes restamp it where
+    /// they happen.
+    pub(super) fn memo_slowdown(&mut self, h: InstanceHandle, key: SlotKey, now: SimTime) -> f64 {
         let inst = self
             .instances
             .get_mut(h.key())
@@ -89,19 +91,19 @@ impl<'a> Scheduler<'a> {
         let pos = inst
             .jobs
             .iter()
-            .position(|c| c.job == jid)
+            .position(|c| c.key == key)
             .expect("running job is bound to its instance");
         let memo = inst.jobs[pos];
         if memo.stamp == stamp {
             debug_assert_eq!(
                 memo.slowdown.to_bits(),
-                self.current_slowdown(jid, now).to_bits(),
+                self.current_slowdown(key, now).to_bits(),
                 "stale slowdown memo for job {}",
-                jid.0
+                self.job(key).id.0
             );
             return memo.slowdown;
         }
-        let slowdown = self.current_slowdown(jid, now);
+        let slowdown = self.current_slowdown(key, now);
         let entry = &mut self.inst_mut(h).jobs[pos];
         entry.stamp = stamp;
         entry.slowdown = slowdown;
@@ -112,22 +114,20 @@ impl<'a> Scheduler<'a> {
     // Execution events
     // ------------------------------------------------------------------
 
-    /// A job starts executing.
-    pub fn on_start(&mut self, jid: JobId, now: SimTime, events: &mut impl EventSink<Event>) {
-        let Some(job) = self.running_job_mut(jid) else {
+    /// The running job in slot `key` starts executing. A stale key (the
+    /// job finished or was evicted since, and a re-admitted life has a
+    /// key of its own) makes this a no-op.
+    pub fn on_start(&mut self, key: SlotKey, now: SimTime, events: &mut impl EventSink<Event>) {
+        let Ok(job) = self.running.get_mut(key) else {
             return;
         };
-        if job.started {
-            return;
-        }
-        if now < job.start_at {
-            // A stale Start from a pre-preemption life of this job id;
-            // the re-admitted job's own Start is still in flight.
-            return;
-        }
+        debug_assert!(
+            !job.started && now >= job.start_at,
+            "one Start per running slot, not before its start time"
+        );
         job.started = true;
         job.last_progress = now;
-        let spec_idx = job.spec_idx;
+        let (jid, spec_idx) = (job.id, job.spec_idx);
         // Co-runners' interference sums skip jobs that have not started.
         let h = job.instance;
         self.instances
@@ -137,16 +137,13 @@ impl<'a> Scheduler<'a> {
         let spec = &self.scenario.jobs()[spec_idx];
         match spec.kind {
             JobKind::Batch { .. } => {
-                let job = self.running_job(jid).expect("running");
-                let slowdown = self.current_slowdown(jid, now);
+                let slowdown = self.current_slowdown(key, now);
+                let job = self.job_mut(key);
                 let eff = job.cores.min(spec.cores).max(1) as f64;
                 let finish = now + SimDuration::from_secs_f64(job.remaining_work * slowdown / eff);
-                let v = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    job.finish_version += 1;
-                    job.finish_version
-                };
-                events.schedule(finish, Event::Finish(jid, v));
+                job.finish_version += 1;
+                let v = job.finish_version;
+                events.schedule(finish, Event::Finish(key, v));
             }
             JobKind::LatencyCritical { lifetime, .. } => {
                 // Requests issued while the service waited for spin-up or
@@ -156,33 +153,34 @@ impl<'a> Scheduler<'a> {
                 let wait = audited_since(&self.auditor, now, spec.arrival, jid.0, "LC start wait")
                     .as_secs_f64();
                 let saturated = self.latency_model.saturated_p99_us();
-                let v = {
-                    let job = self.running_job_mut(jid).expect("running");
-                    job.lat_weighted_sum += saturated * wait;
-                    job.lat_weight += wait;
-                    job.finish_version += 1;
-                    job.finish_version
-                };
-                events.schedule(now + lifetime, Event::Finish(jid, v));
+                let job = self.job_mut(key);
+                job.lat_weighted_sum += saturated * wait;
+                job.lat_weight += wait;
+                job.finish_version += 1;
+                let v = job.finish_version;
+                events.schedule(now + lifetime, Event::Finish(key, v));
             }
         }
     }
 
-    /// A job's projected finish fires.
+    /// The projected finish `version` of the running job in slot `key`
+    /// fires. A stale key (the job finished or was evicted since) or a
+    /// superseded version makes this a no-op.
     pub fn on_finish(
         &mut self,
-        jid: JobId,
+        key: SlotKey,
         version: u64,
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
-        let Some(job) = self.running_job(jid) else {
-            return Ok(()); // already finished
+        let Ok(job) = self.running.get(key) else {
+            return Ok(()); // already finished or evicted
         };
         if job.finish_version != version || !job.started {
             return Ok(()); // stale projection
         }
-        let job = self.remove_running(jid).expect("running");
+        let job = self.remove_running(key);
+        let jid = job.id;
         // The projection completes exactly the work still outstanding at
         // the last checkpoint; credit it to the executed ledger.
         self.auditor.work_executed(now, jid.0, job.remaining_work);
@@ -211,7 +209,7 @@ impl<'a> Scheduler<'a> {
                         let pressure = {
                             let inst = self.inst(inst_h);
                             let external = self.cloud.external_pressure(inst.cloud_id, now);
-                            external.add(&self.internal_pressure(inst_h, Some(jid)))
+                            external.add(&self.internal_pressure(inst_h, Some(key)))
                         };
                         self.cloud
                             .slowdown_model()
@@ -249,7 +247,7 @@ impl<'a> Scheduler<'a> {
         // Free the capacity.
         let freed = job.cores;
         let reserved = self.inst(inst_h).reserved;
-        let now_idle = self.detach_job(inst_h, jid, freed, now)?;
+        let now_idle = self.detach_job(inst_h, key, freed, now)?;
         if reserved {
             self.reserved_busy.record_delta(now, -(freed as f64));
             self.queue_est.record_release(freed, now);
@@ -334,10 +332,10 @@ impl<'a> Scheduler<'a> {
         // makes order-bearing.
         let mut walk = std::mem::take(&mut self.tick_jobs);
         walk.clear();
-        walk.extend(self.running_by_id.iter().map(|(&jid, &key)| (jid, key)));
+        walk.extend(self.running_by_id.values().copied());
         let updated = walk
             .iter()
-            .try_for_each(|&(jid, key)| self.update_job(jid, key, now, events));
+            .try_for_each(|&key| self.update_job(key, now, events));
         self.tick_jobs = walk;
         updated?;
 
@@ -373,10 +371,10 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Progress + QoS update for one job, living in arena slot `key`.
+    /// Progress + QoS update for the job in arena slot `key`; a no-op
+    /// once that job has left the running set.
     pub(super) fn update_job(
         &mut self,
-        jid: JobId,
         key: SlotKey,
         now: SimTime,
         events: &mut impl EventSink<Event>,
@@ -387,12 +385,13 @@ impl<'a> Scheduler<'a> {
         if !job.started {
             return Ok(());
         }
+        let jid = job.id;
         let spec_idx = job.spec_idx;
         let inst_h = job.instance;
         let cores = job.cores;
         let last_progress = job.last_progress;
         let spec = &self.scenario.jobs()[spec_idx];
-        let slowdown = self.memo_slowdown(inst_h, jid, now);
+        let slowdown = self.memo_slowdown(inst_h, key, now);
 
         match spec.kind {
             JobKind::Batch { .. } => {
@@ -413,7 +412,7 @@ impl<'a> Scheduler<'a> {
                 };
                 self.auditor.work_executed(now, jid.0, executed);
                 self.admission.work_executed(now, jid.0, executed);
-                events.schedule(finish, Event::Finish(jid, v));
+                events.schedule(finish, Event::Finish(key, v));
             }
             JobKind::LatencyCritical { offered_rps, .. } => {
                 let rho = self.latency_model.utilization(offered_rps, cores, slowdown);
@@ -492,24 +491,25 @@ impl<'a> Scheduler<'a> {
                     && !rescheduled
                     && !self.inst(inst_h).reserved;
                 if should_reschedule {
-                    self.reschedule(jid, now, events)?;
+                    self.reschedule(key, now, events)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Moves a persistently degraded job to a fresh on-demand instance.
+    /// Moves the persistently degraded job in slot `key` to a fresh
+    /// on-demand instance.
     fn reschedule(
         &mut self,
-        jid: JobId,
+        key: SlotKey,
         now: SimTime,
         events: &mut impl EventSink<Event>,
     ) -> Result<(), AuditViolation> {
         self.counters.reschedules += 1;
-        let (cores, old_inst) = {
-            let job = self.running_job(jid).expect("running");
-            (job.cores, job.instance)
+        let (jid, cores, old_inst) = {
+            let job = self.job(key);
+            (job.id, job.cores, job.instance)
         };
         trace_event!(
             self.tracer,
@@ -523,21 +523,20 @@ impl<'a> Scheduler<'a> {
         // instance can be released (its handle would then be stale).
         let itype = self.inst(old_inst).itype;
         // Free the old slot.
-        if self.detach_job(old_inst, jid, cores, now)? {
+        if self.detach_job(old_inst, key, cores, now)? {
             // A degraded instance we are fleeing: release immediately.
             self.counters.od_released_immediately += 1;
             self.release_instance(old_inst, now);
         }
         // Acquire a replacement of the same type.
         let new_h = self.acquire(itype, now);
-        let key = *self.running_by_id.get(&jid).expect("running");
-        self.attach_job(new_h, jid, key, cores, now);
+        self.attach_job(new_h, key, cores, now);
         let ready = {
             let inst = self.inst_mut(new_h);
             inst.retention_token += 1;
             inst.ready_at
         };
-        let job = self.running_job_mut(jid).expect("running");
+        let job = self.job_mut(key);
         job.instance = new_h;
         job.rescheduled = true;
         job.qos_bad_ticks = 0;

@@ -36,6 +36,38 @@ fn scenario_of(jobs: Vec<JobSpec>) -> Scenario {
     Scenario::from_jobs(ScenarioConfig::scaled(ScenarioKind::Static, 0.05, 10), jobs)
 }
 
+/// Id-addressed views for tests: the scheduler itself reaches running
+/// jobs by arena key.
+impl Scheduler<'_> {
+    /// The arena key of the running job with scenario id `id`.
+    fn key_of(&self, id: JobId) -> SlotKey {
+        self.running_by_id[&id]
+    }
+
+    /// The running job with scenario id `id`, if any.
+    fn running_job(&self, id: JobId) -> Option<&RunningJob> {
+        self.running_by_id.get(&id).map(|&key| self.job(key))
+    }
+
+    /// `on_start` for the running job with scenario id `id`.
+    fn start(&mut self, id: JobId, now: SimTime, events: &mut EventQueue<Event>) {
+        self.on_start(self.key_of(id), now, events);
+    }
+
+    /// `on_finish` for the running job with scenario id `id`, at its
+    /// current projection version.
+    fn finish(
+        &mut self,
+        id: JobId,
+        now: SimTime,
+        events: &mut EventQueue<Event>,
+    ) -> Result<(), AuditViolation> {
+        let key = self.key_of(id);
+        let version = self.job(key).finish_version;
+        self.on_finish(key, version, now, events)
+    }
+}
+
 fn scheduler<'a>(
     scenario: &'a Scenario,
     config: &'a RunConfig,
@@ -47,10 +79,11 @@ fn scheduler<'a>(
 }
 
 /// Tests that attach ad-hoc jobs directly (bypassing `assign`) still
-/// need an arena slot for the `(JobId, SlotKey)` pair; this inserts a
+/// need an arena slot for the colocation entry; this inserts a
 /// placeholder running-job record and returns its key.
 fn fake_slot(sched: &mut Scheduler<'_>, h: InstanceHandle, cores: u32, at: SimTime) -> SlotKey {
     sched.running.insert(RunningJob {
+        id: JobId(u64::MAX),
         spec_idx: 0,
         instance: h,
         cores,
@@ -146,16 +179,14 @@ fn internal_pressure_respects_config_scale() {
     config.internal_pressure_scale = 1.0;
     let run_pressure = |config: &RunConfig| {
         let (mut sched, mut events) = scheduler(&scenario, config);
-        sched
-            .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-            .unwrap();
-        sched
-            .on_arrival(JobId(1), SimTime::ZERO, &mut events)
-            .unwrap();
-        sched.on_start(JobId(0), SimTime::ZERO, &mut events);
-        sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+        sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+        sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
+        sched.start(JobId(0), SimTime::ZERO, &mut events);
+        sched.start(JobId(1), SimTime::ZERO, &mut events);
         let h = sched.reserved_handles[0];
-        sched.internal_pressure(h, Some(JobId(0))).sum()
+        sched
+            .internal_pressure(h, Some(sched.key_of(JobId(0))))
+            .sum()
     };
     let full = run_pressure(&config);
     config.internal_pressure_scale = 0.1;
@@ -168,11 +199,12 @@ fn internal_pressure_respects_config_scale() {
 /// fresh computation, bit for bit (debug builds also check inside
 /// `memo_slowdown`, on every hit).
 fn fresh_memo(sched: &mut Scheduler<'_>, jid: JobId, now: SimTime) -> f64 {
-    let h = sched.running_job(jid).expect("running").instance;
-    let memo = sched.memo_slowdown(h, jid, now);
+    let key = sched.key_of(jid);
+    let h = sched.job(key).instance;
+    let memo = sched.memo_slowdown(h, key, now);
     assert_eq!(
         memo.to_bits(),
-        sched.current_slowdown(jid, now).to_bits(),
+        sched.current_slowdown(key, now).to_bits(),
         "stale slowdown memo for job {}",
         jid.0
     );
@@ -198,12 +230,12 @@ fn co_runner_start_invalidates_the_slowdown_memo() {
     let (mut sched, mut events) = scheduler(&scenario, &config);
     for id in [0, 1] {
         sched
-            .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+            .on_arrival(id as usize, SimTime::ZERO, &mut events)
             .unwrap();
     }
-    sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
     let alone = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
-    sched.on_start(JobId(1), SimTime::ZERO, &mut events);
+    sched.start(JobId(1), SimTime::ZERO, &mut events);
     let shared = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
     assert!(shared > alone, "{shared} vs {alone}");
 }
@@ -216,14 +248,13 @@ fn detach_invalidates_the_slowdown_memo() {
     let (mut sched, mut events) = scheduler(&scenario, &config);
     for id in [0, 1] {
         sched
-            .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+            .on_arrival(id as usize, SimTime::ZERO, &mut events)
             .unwrap();
-        sched.on_start(JobId(id), SimTime::ZERO, &mut events);
+        sched.start(JobId(id), SimTime::ZERO, &mut events);
     }
     let shared = fresh_memo(&mut sched, JobId(0), SimTime::ZERO);
-    let version = sched.running_job(JobId(1)).unwrap().finish_version;
     let t = SimTime::from_secs(60);
-    sched.on_finish(JobId(1), version, t, &mut events).unwrap();
+    sched.finish(JobId(1), t, &mut events).unwrap();
     let alone = fresh_memo(&mut sched, JobId(0), t);
     assert!(alone < shared, "{alone} vs {shared}");
 }
@@ -247,8 +278,8 @@ fn attach_invalidates_the_slowdown_memo() {
     let h = sched.acquire(InstanceType::full_server(), SimTime::ZERO);
     let (zero, start) = (SimDuration::ZERO, SimTime::from_secs(30));
     sched.assign(1, &e1, h, SimTime::ZERO, zero, None, &mut events);
-    sched.on_start(JobId(0), start, &mut events);
-    sched.on_start(JobId(1), start, &mut events);
+    sched.start(JobId(0), start, &mut events);
+    sched.start(JobId(1), start, &mut events);
     let t = SimTime::from_secs(60);
     let alone = fresh_memo(&mut sched, JobId(1), t);
     sched.consolidate_od_pool(t, &mut events).unwrap();
@@ -281,12 +312,12 @@ fn local_boost_invalidates_the_slowdown_memo() {
         };
         let zero = SimDuration::ZERO;
         sched.assign(idx, &est, h, SimTime::ZERO, zero, None, &mut events);
-        sched.on_start(JobId(idx as u64), SimTime::ZERO, &mut events);
+        sched.start(JobId(idx as u64), SimTime::ZERO, &mut events);
     }
     let before = fresh_memo(&mut sched, JobId(1), SimTime::ZERO);
     let t = SimTime::from_secs(10);
-    let key = sched.running_by_id[&JobId(0)];
-    sched.update_job(JobId(0), key, t, &mut events).unwrap();
+    let key = sched.key_of(JobId(0));
+    sched.update_job(key, t, &mut events).unwrap();
     assert!(sched.running_job(JobId(0)).unwrap().cores > 2, "no boost");
     let after = fresh_memo(&mut sched, JobId(1), t);
     assert!(after > before, "{after} vs {before}");
@@ -299,17 +330,15 @@ fn interference_epoch_invalidates_the_slowdown_memo() {
     let scenario = scenario_of(vec![job(0, AppClass::HadoopSvm, 2, 3600)]);
     let config = RunConfig::new(StrategyId::ODM);
     let (mut sched, mut events) = scheduler(&scenario, &config);
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
     let h = sched.running_job(JobId(0)).unwrap().instance;
     assert!(sched.inst(h).itype.external_share() > 0.0);
     let ready = sched.inst(h).ready_at;
-    sched.on_start(JobId(0), ready, &mut events);
+    sched.start(JobId(0), ready, &mut events);
     let first = fresh_memo(&mut sched, JobId(0), ready);
     let later = (1..100)
         .map(|k| ready + SimDuration::from_secs(10 * k))
-        .find(|&t| sched.current_slowdown(JobId(0), t) != first)
+        .find(|&t| sched.current_slowdown(sched.key_of(JobId(0)), t) != first)
         .expect("the external level moves within 100 epochs");
     assert_ne!(fresh_memo(&mut sched, JobId(0), later), first);
 }
@@ -341,8 +370,8 @@ fn consolidation_drains_lightly_used_pool_instances() {
         None,
         &mut events,
     );
-    sched.on_start(JobId(0), SimTime::from_secs(30), &mut events);
-    sched.on_start(JobId(1), SimTime::from_secs(30), &mut events);
+    sched.start(JobId(0), SimTime::from_secs(30), &mut events);
+    sched.start(JobId(1), SimTime::from_secs(30), &mut events);
     assert!(sched.inst(first_pool).used_cores > 0);
     sched
         .consolidate_od_pool(SimTime::from_secs(60), &mut events)
@@ -409,21 +438,14 @@ fn queue_drain_is_fifo_with_skip() {
     let mut config = RunConfig::new(StrategyId::SR);
     config.reserved_cores_override = Some(16);
     let (mut sched, mut events) = scheduler(&scenario, &config);
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
-    sched
-        .on_arrival(JobId(1), SimTime::ZERO, &mut events)
-        .unwrap();
-    sched
-        .on_arrival(JobId(2), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
+    sched.on_arrival(2, SimTime::ZERO, &mut events).unwrap();
     assert_eq!(sched.queue.len(), 2, "both later jobs queue");
-    sched.on_start(JobId(0), SimTime::ZERO, &mut events);
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
     // Finish the first job: the queue head (16-core) takes the slot.
-    let version = sched.running_job(JobId(0)).unwrap().finish_version;
     sched
-        .on_finish(JobId(0), version, SimTime::from_secs(600), &mut events)
+        .finish(JobId(0), SimTime::from_secs(600), &mut events)
         .unwrap();
     assert_eq!(sched.queue.len(), 1);
     assert!(sched.running_by_id.contains_key(&JobId(1)));
@@ -436,15 +458,19 @@ fn foreign_job_id_fails_typed() {
     let config = RunConfig::new(StrategyId::SR);
     let (mut sched, mut events) = scheduler(&scenario, &config);
     let err = sched
-        .on_arrival(JobId(999), SimTime::ZERO, &mut events)
-        .expect_err("an id outside the scenario must fail typed");
-    assert_eq!(err, UnknownJob { id: JobId(999) });
+        .on_arrival(999, SimTime::ZERO, &mut events)
+        .expect_err("a position past the scenario's end must fail typed");
+    assert_eq!(
+        err,
+        UnknownJob {
+            position: 999,
+            jobs: 1
+        }
+    );
     assert_eq!(sched.pending_jobs(), 0, "nothing was admitted");
     assert!(events.is_empty(), "nothing was scheduled");
     // The in-scenario id still works.
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
     assert_eq!(sched.pending_jobs(), 1);
 }
 
@@ -457,16 +483,13 @@ fn retention_token_prevents_stale_release() {
     let scenario = scenario_of(jobs);
     let config = RunConfig::new(StrategyId::ODM);
     let (mut sched, mut events) = scheduler(&scenario, &config);
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
     let h = *sched.live_od.iter().next().expect("od instance acquired");
     let token_before = sched.inst(h).retention_token;
     // A new job lands on the instance (reuse) before the retention
     // timer fires; the stale token must not release it.
     let key = fake_slot(&mut sched, h, 2, SimTime::ZERO);
     sched.inst_mut(h).jobs.push(Colocated {
-        job: JobId(99),
         key,
         stamp: 0,
         slowdown: 0.0,
@@ -512,7 +535,7 @@ fn idle_index_tracks_retained_instances() {
     assert_eq!(found, Some(h));
     // Attaching a job removes it from the idle index.
     let key = fake_slot(&mut sched, h, 2, SimTime::from_secs(3600));
-    sched.attach_job(h, JobId(0), key, 2, SimTime::from_secs(3600));
+    sched.attach_job(h, key, 2, SimTime::from_secs(3600));
     assert!(sched.idle_buckets.is_empty());
 }
 
@@ -566,14 +589,13 @@ proptest::proptest! {
         // stays in handle (= acquisition) order. Sim time advances
         // monotonically across steps.
         let mut unretained: Vec<InstanceHandle> = Vec::new();
-        let mut occupied: Vec<(InstanceHandle, JobId)> = Vec::new();
+        let mut occupied: Vec<(InstanceHandle, SlotKey)> = Vec::new();
         let mut retained: Vec<InstanceHandle> = Vec::new();
         let retain = |list: &mut Vec<InstanceHandle>, h: InstanceHandle| {
             let pos = list.partition_point(|&r| r < h);
             list.insert(pos, h);
         };
         let mut t = SimTime::ZERO;
-        let mut next_job = 1000u64;
         for (op, x) in steps {
             t += SimDuration::from_secs(1);
             match op {
@@ -589,16 +611,14 @@ proptest::proptest! {
                 3 if !retained.is_empty() => {
                     // Reuse: a job lands on a retained instance.
                     let h = retained.remove(x as usize % retained.len());
-                    let jid = JobId(next_job);
-                    next_job += 1;
                     let key = fake_slot(&mut sched, h, 1, t);
-                    sched.attach_job(h, jid, key, 1, t);
-                    occupied.push((h, jid));
+                    sched.attach_job(h, key, 1, t);
+                    occupied.push((h, key));
                 }
                 4 if !occupied.is_empty() => {
                     // Finish: the instance empties and is retained again.
-                    let (h, jid) = occupied.remove(x as usize % occupied.len());
-                    prop_assert!(sched.detach_job(h, jid, 1, t).expect("single detach"));
+                    let (h, key) = occupied.remove(x as usize % occupied.len());
+                    prop_assert!(sched.detach_job(h, key, 1, t).expect("single detach"));
                     sched.handle_idle_od(h, t, &mut events);
                     retain(&mut retained, h);
                 }
@@ -658,12 +678,12 @@ fn double_detach_is_a_typed_accounting_error() {
     let (mut sched, _) = scheduler(&scenario, &config);
     let h = sched.acquire(InstanceType::standard(4), SimTime::ZERO);
     let key = fake_slot(&mut sched, h, 2, SimTime::ZERO);
-    sched.attach_job(h, JobId(0), key, 2, SimTime::ZERO);
+    sched.attach_job(h, key, 2, SimTime::ZERO);
     assert!(sched
-        .detach_job(h, JobId(0), 2, SimTime::from_secs(1))
+        .detach_job(h, key, 2, SimTime::from_secs(1))
         .expect("first unbind is legal"));
     let err = sched
-        .detach_job(h, JobId(0), 2, SimTime::from_secs(2))
+        .detach_job(h, key, 2, SimTime::from_secs(2))
         .expect_err("second unbind of the same cores must be caught");
     assert_eq!(err.at, SimTime::from_secs(2));
     assert!(
@@ -702,13 +722,9 @@ fn queue_delay_accumulates_across_preemptions() {
     let (mut sched, mut events) = scheduler(&scenario, &config);
 
     // Job 0 fills the reserved pool; job 1 queues behind it.
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
-    sched.on_start(JobId(0), SimTime::ZERO, &mut events);
-    sched
-        .on_arrival(JobId(1), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
+    sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
     assert_eq!(sched.queue.len(), 1, "job 1 must queue behind job 0");
 
     // Wait 1: starved for 3600s, then relieved to the od pool.
@@ -736,8 +752,7 @@ fn queue_delay_accumulates_across_preemptions() {
 
     // Wait 3: job 0 finishes; the queue drains onto reserved.
     let t5 = SimTime::from_secs(20_000);
-    let version = sched.running_job(JobId(0)).unwrap().finish_version;
-    sched.on_finish(JobId(0), version, t5, &mut events).unwrap();
+    sched.finish(JobId(0), t5, &mut events).unwrap();
     let job1 = sched.running_job(JobId(1)).unwrap();
     assert_eq!(
         job1.queue_delay,
@@ -775,12 +790,8 @@ fn tenancy_gate_defers_and_finish_drains() {
     let mut config = RunConfig::new(StrategyId::SR).without_profiling();
     config.reserved_cores_override = Some(32);
     let (mut sched, mut events) = scheduler(&scenario, &config);
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
-    sched
-        .on_arrival(JobId(1), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
     assert!(sched.running_by_id.contains_key(&JobId(0)));
     assert!(
         !sched.running_by_id.contains_key(&JobId(1)),
@@ -791,10 +802,9 @@ fn tenancy_gate_defers_and_finish_drains() {
 
     // Finishing job 0 frees the share; the drain admits job 1 and
     // credits its 100s behind the gate as queue delay.
-    sched.on_start(JobId(0), SimTime::ZERO, &mut events);
-    let v = sched.running_job(JobId(0)).unwrap().finish_version;
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
     sched
-        .on_finish(JobId(0), v, SimTime::from_secs(100), &mut events)
+        .finish(JobId(0), SimTime::from_secs(100), &mut events)
         .unwrap();
     assert!(sched.running_by_id.contains_key(&JobId(1)));
     assert_eq!(sched.counters.tenant_drained_jobs, 1);
@@ -825,7 +835,7 @@ fn spot_termination_books_the_loss_and_frees_the_tenant_share() {
     let mut events = EventQueue::new();
     for id in [0, 1] {
         sched
-            .on_arrival(JobId(id), SimTime::ZERO, &mut events)
+            .on_arrival(id as usize, SimTime::ZERO, &mut events)
             .unwrap();
     }
     assert!(
@@ -834,7 +844,7 @@ fn spot_termination_books_the_loss_and_frees_the_tenant_share() {
     );
     let h = sched.running_job(JobId(0)).unwrap().instance;
     let ready = sched.inst(h).ready_at;
-    sched.on_start(JobId(0), ready, &mut events);
+    sched.start(JobId(0), ready, &mut events);
     let t = ready + SimDuration::from_secs(60);
     sched.on_spot_termination(h, t, &mut events).unwrap();
     let lost = sched.counters.work_lost_core_secs;
@@ -872,13 +882,9 @@ fn tenancy_starved_guarantee_reclaims_via_preemption() {
 
     // The borrower takes the idle pool; the guaranteed tenant's job
     // then defers and the tenant goes needy.
-    sched
-        .on_arrival(JobId(0), SimTime::ZERO, &mut events)
-        .unwrap();
-    sched.on_start(JobId(0), SimTime::ZERO, &mut events);
-    sched
-        .on_arrival(JobId(1), SimTime::ZERO, &mut events)
-        .unwrap();
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
+    sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
     assert_eq!(sched.counters.tenant_borrowed_admissions, 1);
     assert!(!sched.running_by_id.contains_key(&JobId(1)));
 
@@ -970,4 +976,147 @@ fn audited_since_is_silent_when_auditing_is_off() {
     );
     assert_eq!(span, SimDuration::ZERO);
     assert!(auditor.violations().is_empty());
+}
+
+/// A finished job's slot goes to the next job under a new generation, so
+/// the finished job's own `Finish` — here with a version equal to the
+/// new holder's current one — fails the key's generation check instead
+/// of finishing the new holder.
+#[test]
+fn a_recycled_slot_never_takes_a_stale_finish() {
+    let (scenario, config) = reserved_pair();
+    let (mut sched, mut events) = scheduler(&scenario, &config);
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.start(JobId(0), SimTime::ZERO, &mut events);
+    let a = sched.key_of(JobId(0));
+    let a_version = sched.job(a).finish_version;
+    let t = SimTime::from_secs(600);
+    sched.on_finish(a, a_version, t, &mut events).unwrap();
+    sched.on_arrival(1, t, &mut events).unwrap();
+    sched.start(JobId(1), t, &mut events);
+    let b = sched.key_of(JobId(1));
+    assert_eq!(b.index(), a.index(), "job 1 holds job 0's recycled slot");
+    assert_ne!(b, a);
+    let b_version = sched.job(b).finish_version;
+    assert_eq!(b_version, a_version);
+
+    sched
+        .on_finish(a, a_version, SimTime::from_secs(700), &mut events)
+        .unwrap();
+    assert_eq!(sched.outcomes.len(), 1, "the stale Finish finished nothing");
+    let held = sched.job(b);
+    assert_eq!(held.id, JobId(1));
+    assert_eq!(held.finish_version, b_version, "job 1 keeps its projection");
+    sched
+        .on_finish(b, b_version, SimTime::from_secs(1200), &mut events)
+        .unwrap();
+    assert_eq!(sched.outcomes.len(), 2);
+}
+
+/// A tenant preemption evicts a job whose on-demand instance is still
+/// spinning up, so its `Start` is still in flight. The key that `Start`
+/// carries must never start whoever holds the recycled slot: first the
+/// job admitted in the victim's place, then the victim's own re-admitted
+/// life.
+#[test]
+fn a_recycled_slot_never_takes_a_stale_start() {
+    let jobs = vec![
+        job(0, AppClass::SparkBatch, 4, 1_000),
+        job(1, AppClass::SparkBatch, 4, 1_000),
+    ];
+    let pool = jobs.iter().map(|j| j.user_sized_cores().clamp(1, 16)).max();
+    let pool = pool.expect("two jobs");
+    // Tenant 1 borrows the idle pool; tenant 0, guaranteed all of it,
+    // starves after a second and reclaims it by preemption.
+    let mut plan = TenancyPlan::new(pool)
+        .with_quantum(16.0)
+        .with_starvation_secs(1.0)
+        .tenant(TenantSpec::new(0, 4.0, pool, pool))
+        .tenant(TenantSpec::new(1, 1.0, 0, pool));
+    plan.assign(0, 1);
+    plan.assign(1, 0);
+    let scenario = scenario_of(jobs).with_tenancy(plan);
+    let config = RunConfig::new(StrategyId::ODM).without_profiling();
+    let (mut sched, mut events) = scheduler(&scenario, &config);
+    sched.on_arrival(0, SimTime::ZERO, &mut events).unwrap();
+    sched.on_arrival(1, SimTime::ZERO, &mut events).unwrap();
+    let stale = sched.key_of(JobId(0));
+    let tick = SimTime::from_secs(2);
+    assert!(
+        sched.job(stale).start_at > tick,
+        "job 0's instance is still spinning up at the tick"
+    );
+    sched.on_tick(tick, &mut events).unwrap();
+    assert_eq!(sched.counters.tenant_preemptions, 1);
+    assert!(
+        sched.running_job(JobId(0)).is_none(),
+        "job 0 waits at the gate"
+    );
+
+    // Job 1, admitted in job 0's place, holds the recycled slot.
+    let held = sched.key_of(JobId(1));
+    assert_eq!((held.index(), held.generation()), (stale.index(), 1));
+    let start_at = sched.job(held).start_at;
+    sched.on_start(stale, start_at, &mut events);
+    assert!(!sched.job(held).started, "the stale Start started job 1");
+    sched.on_start(held, start_at, &mut events);
+    assert!(sched.job(held).started);
+
+    // Job 1 finishes; the drain re-admits job 0 into the same slot.
+    let done = start_at + SimDuration::from_secs(100);
+    sched.finish(JobId(1), done, &mut events).unwrap();
+    let again = sched.key_of(JobId(0));
+    assert_eq!((again.index(), again.generation()), (stale.index(), 2));
+    let start_at = sched.job(again).start_at;
+    sched.on_start(stale, start_at, &mut events);
+    assert!(
+        !sched.job(again).started,
+        "the stale Start started job 0's new life"
+    );
+    sched.on_start(again, start_at, &mut events);
+    assert!(sched.job(again).started);
+}
+
+/// Finished jobs hand their arena slots on: over a whole OdM run the
+/// running arena grows to the peak number of jobs running at once, not
+/// to the job count.
+#[test]
+fn the_running_arena_holds_peak_concurrency_slots() {
+    let scenario = Scenario::generate(
+        ScenarioConfig::scaled(ScenarioKind::HighVariability, 0.08, 20),
+        &RngFactory::new(7),
+    );
+    let config = RunConfig::new(StrategyId::ODM);
+    let (mut sched, mut events) = scheduler(&scenario, &config);
+    for (idx, job) in scenario.jobs().iter().enumerate() {
+        events.schedule(job.arrival, Event::Arrival(idx));
+    }
+    events.schedule(SimTime::ZERO, Event::Tick);
+    let last_arrival = scenario.jobs().last().expect("jobs").arrival;
+    let mut peak = 0;
+    while let Some((t, event)) = events.pop() {
+        match event {
+            Event::Arrival(idx) => sched.on_arrival(idx, t, &mut events).unwrap(),
+            Event::Start(key) => sched.on_start(key, t, &mut events),
+            Event::Finish(key, v) => sched.on_finish(key, v, t, &mut events).unwrap(),
+            Event::Retention(h, token) => sched.on_retention(h, token, t),
+            Event::SpotTermination(h) => sched.on_spot_termination(h, t, &mut events).unwrap(),
+            Event::Tick => {
+                sched.on_tick(t, &mut events).unwrap();
+                if t < last_arrival || sched.pending_jobs() > 0 {
+                    events.schedule(t + config.monitor_interval, Event::Tick);
+                }
+            }
+        }
+        peak = peak.max(sched.running.live_len());
+    }
+    let jobs = scenario.jobs().len();
+    assert_eq!(sched.outcomes.len(), jobs, "every job finished");
+    assert_eq!(sched.running.live_len(), 0);
+    assert_eq!(
+        sched.running.len(),
+        peak,
+        "one slot per job running at peak"
+    );
+    assert!(peak * 4 < jobs, "{peak} slots for {jobs} jobs");
 }

@@ -23,6 +23,15 @@
 //! becomes the new clock and every other member re-enters a lower level.
 //! Ties are restored by sorting each served bucket by sequence number, so
 //! the pop order is exactly a stable sort by timestamp.
+//!
+//! A long, presorted stream of events (a scenario's arrivals) need not sit
+//! in the wheel from the start. [`EventQueue::reserve`] takes the stream's
+//! sequence numbers up front, and [`EventQueue::schedule_reserved`] feeds
+//! each event in later under its own number, so every tie pops exactly as
+//! if the whole stream had been pushed at reservation. Reserved events
+//! count toward [`EventQueue::len`], [`EventQueue::scheduled_total`] and
+//! [`EventQueue::max_depth`] from the reservation on, so depth telemetry
+//! cannot tell the two apart either.
 
 use std::collections::VecDeque;
 
@@ -89,6 +98,8 @@ pub struct EventQueue<E> {
     pending: usize,
     /// Events drained by `drain_next_batch` but not yet `ack`ed.
     outstanding: usize,
+    /// Sequence numbers reserved but not yet scheduled.
+    reserved: usize,
     /// Scratch buffer the served bucket is swapped into; retains its
     /// capacity across serves so the advance path stops allocating once
     /// the wheel is warm.
@@ -115,6 +126,7 @@ impl<E> EventQueue<E> {
             occupied: [0; LEVELS],
             pending: 0,
             outstanding: 0,
+            reserved: 0,
             serving: Vec::new(),
             arrived: Vec::new(),
             next_seq: 0,
@@ -147,20 +159,62 @@ impl<E> EventQueue<E> {
             at = at,
             now = self.now
         );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.insert(at.max(self.now), seq, event);
+        self.max_depth = self.max_depth.max(self.len());
+    }
+
+    /// Reserves the next `n` sequence numbers for events to be fed in
+    /// later with [`schedule_reserved`](EventQueue::schedule_reserved),
+    /// and returns the first. From this call on they count toward
+    /// [`len`](EventQueue::len), [`scheduled_total`](EventQueue::scheduled_total)
+    /// and [`max_depth`](EventQueue::max_depth) exactly as `n` events
+    /// scheduled now would.
+    pub fn reserve(&mut self, n: usize) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n as u64;
+        self.reserved += n;
+        self.max_depth = self.max_depth.max(self.len());
+        first
+    }
+
+    /// Schedules `event` at `at` under `seq`, a sequence number taken by
+    /// [`reserve`](EventQueue::reserve) and not yet used. It pops exactly
+    /// where it would have had it been scheduled at reservation, provided
+    /// it is fed in before the queue serves anything that orders after
+    /// `(at, seq)` — in particular, before the batch at `at` is drained.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(self.reserved > 0, "no reserved sequence number left");
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
+        debug_assert!(at >= self.now, "scheduled an event in the past");
+        self.reserved -= 1;
+        self.insert(at.max(self.now), seq, event);
+    }
+
+    /// Files a pending event under its wheel position, or in `due` when it
+    /// is due now. The counters that make it pending are the caller's.
+    fn insert(&mut self, at: SimTime, seq: u64, event: E) {
         let s = Scheduled { at, seq, event };
         if at == self.now {
-            // Sequence numbers only grow, so appending keeps `due` sorted.
-            self.due.push_back(s);
+            // Keep `due` sorted by sequence number. An ordinary push holds
+            // the largest number yet and appends; only a reserved one can
+            // land in the middle.
+            if self.due.back().is_none_or(|b| b.seq < seq) {
+                self.due.push_back(s);
+            } else {
+                let pos = self.due.partition_point(|d| d.seq < seq);
+                self.due.insert(pos, s);
+            }
         } else {
             let (level, slot) = self.level_slot(at);
             self.buckets[level * SLOTS + slot].push(s);
             self.occupied[level] |= 1 << slot;
         }
         self.pending += 1;
-        self.max_depth = self.max_depth.max(self.len());
     }
 
     /// Serves the earliest occupied wheel position into `due`, advancing
@@ -232,6 +286,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.due.is_empty() {
             if self.pending == 0 {
+                debug_assert_eq!(self.reserved, 0, "reserved events were never fed in");
                 return None;
             }
             self.advance();
@@ -255,6 +310,7 @@ impl<E> EventQueue<E> {
         buf.clear();
         if self.due.is_empty() {
             if self.pending == 0 {
+                debug_assert_eq!(self.reserved, 0, "reserved events were never fed in");
                 return None;
             }
             self.advance();
@@ -292,9 +348,10 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Number of pending events (drained-but-unacked events included).
+    /// Number of pending events (drained-but-unacked events and reserved
+    /// ones not yet fed in included).
     pub fn len(&self) -> usize {
-        self.pending + self.outstanding
+        self.pending + self.outstanding + self.reserved
     }
 
     /// Whether no events are pending.
@@ -302,7 +359,8 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue.
+    /// Total number of events ever scheduled on this queue, reserved
+    /// sequence numbers included.
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
@@ -540,8 +598,128 @@ mod tests {
         assert_eq!(popped, want);
     }
 
+    #[test]
+    fn reserved_events_pop_under_their_own_sequence_numbers() {
+        let mut q = EventQueue::new();
+        let first = q.reserve(3);
+        assert_eq!(first, 0);
+        assert_eq!((q.len(), q.scheduled_total(), q.max_depth()), (3, 3, 3));
+        // Ordinary events take the numbers after the reservation, so a
+        // reserved event fed in later still pops ahead of its ties: in
+        // `due` (due now) and in a wheel bucket alike.
+        q.schedule(SimTime::ZERO, 10);
+        q.schedule(SimTime::from_micros(5), 11);
+        q.schedule_reserved(SimTime::ZERO, first + 1, 1);
+        q.schedule_reserved(SimTime::ZERO, first, 0);
+        q.schedule_reserved(SimTime::from_micros(5), first + 2, 2);
+        assert_eq!((q.len(), q.scheduled_total(), q.max_depth()), (5, 5, 5));
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![0, 1, 10, 2, 11]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The runner's arrival feed: a presorted stream of equal-time
+        /// groups reserves its sequence numbers up front and is fed in one
+        /// group at a time, the next as the last event of the one before
+        /// is dispatched. Against the heap reference holding the whole
+        /// stream from the start, under random interleavings of ordinary
+        /// pushes (same-µs ties with the groups included), single pops
+        /// and batch drains, every popped event, the clock, `len`,
+        /// `scheduled_total` and `max_depth` agree at every step.
+        #[test]
+        fn lazily_fed_groups_match_pushing_everything_up_front(
+            groups in prop::collection::vec((0u64..4, 1usize..4), 0..30),
+            ops in prop::collection::vec((0u8..4, 0u64..6), 1..300),
+        ) {
+            const ORDINARY: u64 = 1_000_000;
+            // Group g holds `size` events at a time strictly after
+            // group g-1's; each event's payload is its stream position.
+            let mut stream: Vec<(SimTime, u64)> = Vec::new();
+            let mut t = 0u64;
+            for (g, &(gap, size)) in groups.iter().enumerate() {
+                t += gap + u64::from(g > 0);
+                for _ in 0..size {
+                    stream.push((SimTime::from_micros(t), stream.len() as u64));
+                }
+            }
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            for &(at, pos) in &stream {
+                heap.schedule(at, pos);
+            }
+            let first = wheel.reserve(stream.len());
+            // Feeds the group starting at `next`; returns the position
+            // after it.
+            let feed = |wheel: &mut EventQueue<u64>, next: usize| -> usize {
+                let Some(&(at, _)) = stream.get(next) else {
+                    return next;
+                };
+                let end = next + stream[next..].iter().take_while(|e| e.0 == at).count();
+                for &(at, pos) in &stream[next..end] {
+                    wheel.schedule_reserved(at, first + pos, pos);
+                }
+                end
+            };
+            let mut next = feed(&mut wheel, 0);
+            let mut payload = ORDINARY;
+            let mut batch_w = Vec::new();
+            let mut batch_h = Vec::new();
+            // Mid-batch, the wheel may not hold the next group yet while
+            // the heap does, so `peek_time` is compared between steps only.
+            let check = |wheel: &EventQueue<u64>, heap: &HeapEventQueue<u64>, peek: bool| {
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.now(), heap.now());
+                if peek {
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                }
+                prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+                prop_assert_eq!(wheel.max_depth(), heap.max_depth());
+                Ok(())
+            };
+            check(&wheel, &heap, true)?;
+            // The drain at the end: batches until both are empty.
+            let tail = ops.len();
+            for (i, (op, offset)) in ops.into_iter().chain((0..).map(|_| (3, 0))).enumerate() {
+                if i >= tail && heap.is_empty() {
+                    break;
+                }
+                match op {
+                    0 | 1 => {
+                        let at = wheel.now() + SimDuration::from_micros(offset);
+                        wheel.schedule(at, payload);
+                        heap.schedule(at, payload);
+                        payload += 1;
+                    }
+                    2 => {
+                        let popped = wheel.pop();
+                        prop_assert_eq!(popped, heap.pop());
+                        if let Some((_, e)) = popped {
+                            if e < ORDINARY && e as usize + 1 == next {
+                                next = feed(&mut wheel, next);
+                            }
+                        }
+                    }
+                    _ => {
+                        let at = wheel.drain_next_batch(&mut batch_w);
+                        prop_assert_eq!(at, heap.drain_next_batch(&mut batch_h));
+                        prop_assert_eq!(&batch_w, &batch_h);
+                        for &e in &batch_w {
+                            wheel.ack();
+                            heap.ack();
+                            if e < ORDINARY && e as usize + 1 == next {
+                                next = feed(&mut wheel, next);
+                            }
+                            check(&wheel, &heap, false)?;
+                        }
+                    }
+                }
+                check(&wheel, &heap, true)?;
+            }
+            prop_assert_eq!(next, stream.len(), "every group was fed in");
+            prop_assert!(wheel.is_empty());
+        }
 
         /// Pops come out in (time, insertion) order — exactly a stable
         /// sort. Pinned for both the timing wheel and the heap reference.

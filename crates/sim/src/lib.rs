@@ -17,9 +17,10 @@
 //!   the aggregations the HCloud paper reports;
 //! * [`series`] — step-function time series used for utilization,
 //!   allocation and cost traces (Figures 3, 18–21);
-//! * [`slot`] — an append-only generational slot arena ([`slot::SlotMap`])
-//!   whose handles fail typed ([`slot::StaleSlot`]) after retirement,
-//!   replacing raw `usize` indexing on scheduler hot paths.
+//! * [`slot`] — a generational slot arena ([`slot::SlotMap`]) whose
+//!   handles fail typed ([`slot::StaleSlot`]) once their entry is removed
+//!   (its slot recycled) or retired (its index kept for good), replacing
+//!   raw `usize` indexing on scheduler hot paths.
 //!
 //! The entire simulation is single-threaded and deterministic: running the
 //! same experiment with the same master seed reproduces every figure

@@ -153,56 +153,88 @@ proptest! {
         }
     }
 
-    /// `SlotMap` agrees with a naive parallel-vector model: live handles
-    /// read their value, retired handles fail typed with their own key,
-    /// and iteration yields exactly the live slots in insertion order.
+    /// `SlotMap` agrees with a naive model under random insert / retire /
+    /// remove / get sequences: a live key reads its value; a retired or
+    /// removed key fails typed with its own key from then on, even after
+    /// its slot is reused; an insert reuses a removed slot (under a key
+    /// never issued before) when one is free and otherwise appends; a
+    /// retired index is never reused; `len` and `live_len` stay exact.
     #[test]
     fn slotmap_matches_naive_model(
-        ops in prop::collection::vec((0u8..3, any::<u16>()), 1..150),
+        ops in prop::collection::vec((0u8..4, any::<u16>()), 1..200),
     ) {
         let mut m: SlotMap<u16> = SlotMap::new();
-        let mut keys: Vec<SlotKey> = Vec::new();
-        let mut live: Vec<bool> = Vec::new();
-        let mut vals: Vec<u16> = Vec::new();
+        // Every key ever issued, with its value while live.
+        let mut issued: Vec<(SlotKey, Option<u16>)> = Vec::new();
+        let mut retired: Vec<usize> = Vec::new();
+        let mut reusable: Vec<usize> = Vec::new();
+        let mut slots = 0usize;
         for (op, x) in ops {
-            match op {
-                0 => {
+            let pick = (!issued.is_empty()).then(|| x as usize % issued.len());
+            match (op, pick) {
+                (0, _) => {
                     let k = m.insert(x);
-                    prop_assert_eq!(k.index(), keys.len(), "slots are append-only");
-                    keys.push(k);
-                    live.push(true);
-                    vals.push(x);
+                    if let Some(at) = reusable.iter().position(|&i| i == k.index()) {
+                        reusable.swap_remove(at);
+                    } else {
+                        prop_assert!(reusable.is_empty(), "a free slot was left unused");
+                        prop_assert_eq!(k.index(), slots, "fresh slots append");
+                        slots += 1;
+                    }
+                    prop_assert!(!retired.contains(&k.index()), "retired index reused");
+                    prop_assert!(issued.iter().all(|&(old, _)| old != k), "key issued twice");
+                    issued.push((k, Some(x)));
                 }
-                1 if !keys.is_empty() => {
-                    let i = x as usize % keys.len();
-                    prop_assert_eq!(m.retire(keys[i]).is_ok(), live[i]);
-                    live[i] = false;
+                (1, Some(i)) => {
+                    let (k, live) = issued[i];
+                    prop_assert_eq!(m.retire(k).is_ok(), live.is_some());
+                    if live.is_some() {
+                        retired.push(k.index());
+                        issued[i].1 = None;
+                    }
                 }
-                _ if !keys.is_empty() => {
-                    let i = x as usize % keys.len();
-                    prop_assert_eq!(m.contains(keys[i]), live[i]);
-                    match m.get(keys[i]) {
-                        Ok(&v) => {
-                            prop_assert!(live[i]);
-                            prop_assert_eq!(v, vals[i]);
+                (2, Some(i)) => {
+                    let (k, live) = issued[i];
+                    match m.remove(k) {
+                        Ok(v) => {
+                            prop_assert_eq!(Some(v), live);
+                            reusable.push(k.index());
+                            issued[i].1 = None;
                         }
                         Err(stale) => {
-                            prop_assert!(!live[i]);
-                            prop_assert_eq!(stale.key, keys[i]);
+                            prop_assert!(live.is_none());
+                            prop_assert_eq!(stale.key, k);
+                        }
+                    }
+                }
+                (_, Some(i)) => {
+                    let (k, live) = issued[i];
+                    prop_assert_eq!(m.contains(k), live.is_some());
+                    prop_assert_eq!(m.get(k).ok().copied(), live);
+                    match m.get_mut(k) {
+                        Ok(v) => {
+                            *v = v.wrapping_add(1);
+                            issued[i].1 = Some(*v);
+                        }
+                        Err(stale) => {
+                            prop_assert!(live.is_none());
+                            prop_assert_eq!(stale.key, k);
                         }
                     }
                 }
                 _ => {}
             }
+            let live = issued.iter().filter(|(_, v)| v.is_some()).count();
+            prop_assert_eq!(m.live_len(), live);
+            prop_assert_eq!(m.len(), slots);
         }
-        let got: Vec<(usize, u16)> = m.iter().map(|(k, &v)| (k.index(), v)).collect();
-        let want: Vec<(usize, u16)> = (0..keys.len())
-            .filter(|&i| live[i])
-            .map(|i| (i, vals[i]))
+        let got: Vec<(SlotKey, u16)> = m.iter().map(|(k, &v)| (k, v)).collect();
+        let mut want: Vec<(SlotKey, u16)> = issued
+            .iter()
+            .filter_map(|&(k, v)| v.map(|v| (k, v)))
             .collect();
-        prop_assert_eq!(got, want, "iteration = live slots in insertion order");
-        prop_assert_eq!(m.live_len(), live.iter().filter(|&&b| b).count());
-        prop_assert_eq!(m.len(), keys.len());
+        want.sort();
+        prop_assert_eq!(got, want, "iteration = live entries in index order");
     }
 
     // ---------------------------------------------------------------

@@ -129,20 +129,49 @@ impl ScenarioKind {
     /// The target required cores at time `t` (linear interpolation of the
     /// scenario curve).
     pub fn target_cores(self, t: SimTime) -> f64 {
-        let m = t.as_mins_f64();
-        let pts = self.curve_points();
+        KnotCursor::new(self.curve_points()).at(t.as_mins_f64())
+    }
+}
+
+/// Linear interpolation over `(minute, cores)` knots, holding the first
+/// value before the first knot and the final value past the last. The
+/// cursor remembers the window it last answered from: asked at
+/// non-decreasing minutes, it walks the knots once in all, where a fresh
+/// cursor per query rescans them from the start. Both pick the same
+/// window, so their answers are bit-identical.
+struct KnotCursor<'k> {
+    knots: &'k [(f64, f64)],
+    /// The window `knots[i]..=knots[i + 1]` the last answer came from;
+    /// the last knot once past it.
+    i: usize,
+}
+
+impl<'k> KnotCursor<'k> {
+    fn new(knots: &'k [(f64, f64)]) -> Self {
+        KnotCursor { knots, i: 0 }
+    }
+
+    /// The curve at minute `m`, which must not precede the minute of the
+    /// cursor's previous answer.
+    fn at(&mut self, m: f64) -> f64 {
+        let pts = self.knots;
         if m <= pts[0].0 {
             return pts[0].1;
         }
-        for w in pts.windows(2) {
+        // The first window whose right knot is at or past `m`. The scan
+        // starts at the previous answer's window: no earlier one is at or
+        // past the previous minute, so none is at or past `m`.
+        for (j, w) in pts[self.i..].windows(2).enumerate() {
             let (m0, c0) = w[0];
             let (m1, c1) = w[1];
             if m <= m1 {
+                self.i += j;
                 let f = (m - m0) / (m1 - m0);
                 return c0 + f * (c1 - c0);
             }
         }
-        pts.last().expect("curve non-empty").1
+        self.i = pts.len() - 1;
+        pts[self.i].1
     }
 }
 
@@ -197,20 +226,7 @@ impl DemandCurve {
     /// Linear interpolation at `t`, holding the first value before the
     /// first knot and the final value past the last.
     pub fn cores_at(&self, t: SimTime) -> f64 {
-        let m = t.as_mins_f64();
-        let pts = &self.points;
-        if m <= pts[0].0 {
-            return pts[0].1;
-        }
-        for w in pts.windows(2) {
-            let (m0, c0) = w[0];
-            let (m1, c1) = w[1];
-            if m <= m1 {
-                let f = (m - m0) / (m1 - m0);
-                return c0 + f * (c1 - c0);
-            }
-        }
-        pts.last().expect("curve non-empty").1
+        KnotCursor::new(&self.points).at(t.as_mins_f64())
     }
 }
 
@@ -266,16 +282,51 @@ impl ScenarioConfig {
     /// Target required cores at `t` under this config's scale. Times past
     /// the arrival window hold the curve's final value.
     pub fn target_cores(&self, t: SimTime) -> f64 {
-        if let Some(curve) = &self.curve {
+        self.target_via(&mut KnotCursor::new(self.knots()), t)
+    }
+
+    /// [`target_cores`](ScenarioConfig::target_cores) at `0, step, 2·step,
+    /// …` up to and including the end of the arrival window, each value
+    /// bit-identical to a `target_cores` call at that instant, but walking
+    /// the curve's knots once in all instead of once per sample.
+    ///
+    /// # Panics
+    /// Panics if `step` is zero.
+    pub fn target_cores_every(&self, step: SimDuration) -> impl Iterator<Item = f64> + '_ {
+        assert!(step > SimDuration::ZERO, "sampling step must be positive");
+        let end = SimTime::ZERO + self.duration;
+        let mut cursor = KnotCursor::new(self.knots());
+        let mut t = SimTime::ZERO;
+        std::iter::from_fn(move || {
+            (t <= end).then(|| {
+                let v = self.target_via(&mut cursor, t);
+                t += step;
+                v
+            })
+        })
+    }
+
+    /// The knots [`target_cores`](ScenarioConfig::target_cores)
+    /// interpolates: the custom curve's, or the kind's analytic ones.
+    fn knots(&self) -> &[(f64, f64)] {
+        match &self.curve {
+            Some(curve) => curve.points(),
+            None => self.kind.curve_points(),
+        }
+    }
+
+    /// `target_cores` at `t`, read through `cursor` over `self.knots()`.
+    fn target_via(&self, cursor: &mut KnotCursor<'_>, t: SimTime) -> f64 {
+        if self.curve.is_some() {
             // Custom curves are authored in real scenario time: no
             // virtual-axis stretch.
-            return curve.cores_at(t) * self.load_scale;
+            return cursor.at(t.as_mins_f64()) * self.load_scale;
         }
         // The analytic curves are authored on a 120-minute x-axis; stretch
         // to the configured duration.
         let frac = t.as_secs_f64() / self.duration.as_secs_f64();
         let virtual_t = SimTime::from_secs_f64_lossy(frac.min(1.0) * 7200.0);
-        self.kind.target_cores(virtual_t) * self.load_scale
+        cursor.at(virtual_t.as_mins_f64()) * self.load_scale
     }
 }
 
@@ -868,6 +919,68 @@ mod from_jobs_tests {
         // Past the arrival window the curve holds its final value.
         let after = config.target_cores(SimTime::ZERO + SimDuration::from_hours(5));
         assert!((after - 605.0).abs() < 1.0, "after-end {after}");
+    }
+
+    /// The interpolation every curve used before [`KnotCursor`]: a scan of
+    /// the windows from the first knot, per query.
+    fn scan_knots(pts: &[(f64, f64)], m: f64) -> f64 {
+        if m <= pts[0].0 {
+            return pts[0].1;
+        }
+        for w in pts.windows(2) {
+            let (m0, c0) = w[0];
+            let (m1, c1) = w[1];
+            if m <= m1 {
+                let f = (m - m0) / (m1 - m0);
+                return c0 + f * (c1 - c0);
+            }
+        }
+        pts.last().expect("curve non-empty").1
+    }
+
+    #[test]
+    fn sampled_targets_walk_equals_the_per_sample_scan() {
+        let mut configs = Vec::new();
+        for kind in ScenarioKind::ALL {
+            for minutes in [1, 7, 120, 20_160] {
+                for scale in [0.05, 1.0, 3.7] {
+                    configs.push(ScenarioConfig::scaled(kind, scale, minutes));
+                }
+            }
+        }
+        for ex in crate::dsl::examples() {
+            for scale in [0.5, 1.0] {
+                configs.push(ScenarioConfig {
+                    load_scale: scale,
+                    ..ex.to_config()
+                });
+            }
+        }
+        let step = SimDuration::from_secs(30);
+        for config in &configs {
+            // A fresh cursor per query is the scan, knot for knot.
+            let knots = config.knots();
+            let last = knots.last().expect("knots").0;
+            for i in -4..=(4.0 * last) as i64 + 8 {
+                let m = i as f64 / 4.0;
+                let fresh = KnotCursor::new(knots).at(m);
+                assert_eq!(fresh.to_bits(), scan_knots(knots, m).to_bits(), "m = {m}");
+            }
+            // The walk equals one fresh query per sample, bit for bit.
+            let walked: Vec<u64> = config.target_cores_every(step).map(f64::to_bits).collect();
+            let end = SimTime::ZERO + config.duration;
+            let scanned: Vec<u64> = std::iter::successors(Some(SimTime::ZERO), |&t| Some(t + step))
+                .take_while(|&t| t <= end)
+                .map(|t| config.target_cores(t).to_bits())
+                .collect();
+            assert_eq!(walked.len(), scanned.len());
+            assert!(
+                walked == scanned,
+                "{:?} over {}",
+                config.kind,
+                config.duration
+            );
+        }
     }
 
     #[test]
